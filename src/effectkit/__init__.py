@@ -22,14 +22,12 @@ from .hermitian import (
     clamped_effect,
     conjugate,
     direct_sum,
-    effect_validate,
     eig,
     identity_effect,
     loewner_leq,
     operator_norm,
     orthocomplement,
     psd_part,
-    psd_project,
     random_effect,
     random_projection,
     random_unitary,
@@ -127,108 +125,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CERT_TOL",
-    "CLASSIFY_TOL",
-    "EFFECT_SPECTRUM_TOL",
-    "FEAS_TOL",
-    "HERMITICITY_TOL",
-    "INTERIOR_MARGIN",
-    "MAX_CYCLES",
-    "ORDER_TOL",
-    "RULE_FAMILIES",
-    "SEP_TOL",
-    "STALL_WINDOW",
-    "SUITE_NAMES",
-    "BlockCounterexampleSpec",
-    "CoexistenceVerdict",
-    "Effect",
-    "EigenDecomposition",
-    "FileFormatError",
-    "GesBijectiveSpec",
-    "HarnessConfig",
-    "InconsistentMap",
-    "InvalidCertificate",
-    "NonOrthogonalImages",
-    "NonProjectionImage",
-    "NotHermitian",
-    "PhaseFitFailure",
-    "Reason",
-    "ReconstructionResult",
-    "SolverConfig",
-    "SpectrumOutOfRange",
-    "StandardAutomorphismSpec",
-    "TraceThresholdSpec",
-    "Verdict",
-    "apply_block_counterexample",
-    "apply_ges_bijective",
-    "apply_standard",
-    "apply_trace_threshold",
-    "as_effect",
-    "as_matrix",
-    "block_components",
-    "canonical_form",
-    "clamped_effect",
-    "classify",
-    "coexistent_pair",
-    "conjugate",
-    "decide",
-    "decide_blockwise",
-    "detect_perp",
-    "direct_sum",
-    "document_matrix",
-    "document_preserver_spec",
-    "dumps_document",
-    "efg_to_mn",
-    "effect_validate",
-    "eig",
-    "fast_path",
-    "format_float",
-    "freedom_dimension",
-    "identity_effect",
-    "interior_perturbation",
-    "is_projection",
-    "is_scalar",
-    "loads_document",
-    "loewner_leq",
-    "matrix_document",
-    "mn_to_efg",
-    "noncoexistent_pair",
-    "operator_norm",
-    "orthocomplement",
-    "phase_aligned_distance",
-    "preserver_handle",
-    "preserver_spec_document",
-    "psd_part",
-    "psd_project",
-    "random_block_spec",
-    "random_effect",
-    "random_ges_spec",
-    "random_projection",
-    "random_standard_spec",
-    "random_unitary",
-    "rank_one_peak_value",
-    "read_document",
-    "read_matrix",
-    "reconstruct",
-    "report_signature",
-    "require_hermitian",
-    "require_unitary",
-    "rule_instance",
-    "run_all",
-    "run_suite",
-    "sample_coexistent",
-    "spectrum",
-    "sqrt_psd",
-    "strictly_less",
-    "trace",
-    "trace_threshold_inverse",
-    "trial_rng",
-    "verify_efg",
-    "verify_mn",
-    "verify_reconstruction",
-    "write_document",
-    "write_matrix",
-    "write_report",
-]

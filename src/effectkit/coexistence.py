@@ -26,6 +26,7 @@ from .hermitian import (
     direct_sum,
     random_effect,
     sqrt_psd,
+    _psd_kernel,
     _rng,
 )
 
@@ -242,13 +243,6 @@ def _stalled(r_win, d_win, c_hist, window: int) -> bool:
     return False
 
 
-def _psd_np(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    if w[0] >= 0.0:
-        return h
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
 def _residual_np(x, am, bm, k) -> float:
     stack = np.stack((x, am - x, bm - x, x - k))
     mins = np.linalg.eigvalsh(stack)[:, 0]
@@ -257,7 +251,7 @@ def _residual_np(x, am, bm, k) -> float:
 
 def _initial_iterate(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     eye = np.eye(am.shape[0])
-    mid = (am + bm - _psd_np(am + bm - eye)) / 2.0
+    mid = (am + bm - _psd_kernel(am + bm - eye)) / 2.0
     w, v = np.linalg.eigh(mid)
     return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
 
@@ -273,7 +267,7 @@ def _corner_witness(am, bm, k, feas_tol):
     for the projection loop to enter before stall detection trips.
     """
     for cand in (np.zeros_like(k), np.asarray(am, dtype=complex),
-                 np.asarray(bm, dtype=complex), _psd_np(k)):
+                 np.asarray(bm, dtype=complex), _psd_kernel(k)):
         if _residual_np(cand, am, bm, k) < feas_tol:
             return cand
     return None
@@ -285,10 +279,10 @@ def _polish(x, am, bm, k, feas_tol):
     best_r = _residual_np(x, am, bm, k)
     used = 0
     for used in range(1, _POLISH_CYCLES + 1):
-        x = _psd_np(x)
-        x = am - _psd_np(am - x)
-        x = bm - _psd_np(bm - x)
-        x = k + _psd_np(x - k)
+        x = _psd_kernel(x)
+        x = am - _psd_kernel(am - x)
+        x = bm - _psd_kernel(bm - x)
+        x = k + _psd_kernel(x - k)
         r = _residual_np(x, am, bm, k)
         if r < best_r:
             best, best_r = x, r
@@ -297,8 +291,8 @@ def _polish(x, am, bm, k, feas_tol):
     return best, best_r, used
 
 
-def _solve_general(am, bm, cfg: SolverConfig):
-    """Dykstra loop over the four order-interval sets, dense arrays."""
+def _dykstra(am, bm, cfg: SolverConfig):
+    """Dykstra loop over the four order-interval sets."""
     n = am.shape[0]
     k = am + bm - np.eye(n)
     corner = _corner_witness(am, bm, k, cfg.feas_tol)
@@ -322,16 +316,16 @@ def _solve_general(am, bm, cfg: SolverConfig):
 
         x_start = x
         y = x + p1
-        x = _psd_np(y)
+        x = _psd_kernel(y)
         p1 = y - x
         y = x + p2
-        x = am - _psd_np(am - y)
+        x = am - _psd_kernel(am - y)
         p2 = y - x
         y = x + p3
-        x = bm - _psd_np(bm - y)
+        x = bm - _psd_kernel(bm - y)
         p3 = y - x
         y = x + p4
-        x = k + _psd_np(y - k)
+        x = k + _psd_kernel(y - k)
         p4 = y - x
 
         r = _residual_np(x, am, bm, k)
@@ -347,119 +341,6 @@ def _solve_general(am, bm, cfg: SolverConfig):
 
     if r < cfg.feas_tol:
         x, r, extra = _polish(x, am, bm, k, cfg.feas_tol)
-        return Verdict.COEXISTENT, x, r, cfg.max_cycles + extra
-    return Verdict.INDETERMINATE, None, r, cfg.max_cycles
-
-
-# For n = 2 the whole loop runs on three scalars per Hermitian matrix:
-# both diagonal entries (real) and the upper off-diagonal entry (complex).
-# Closed-form 2x2 spectral calculus makes a cycle roughly five times
-# cheaper than the dense path, and the solver lives in dimension 2 whenever
-# the rank-one fast path is being cross-checked.
-
-
-def _psd2(d0, d1, c):
-    half = (d0 + d1) / 2.0
-    disc = math.hypot((d0 - d1) / 2.0, abs(c))
-    lo = half - disc
-    if lo >= 0.0:
-        return d0, d1, c
-    hi = half + disc
-    if hi <= 0.0:
-        return 0.0, 0.0, 0j
-    s = hi / (hi - lo)
-    return s * (d0 - lo), s * (d1 - lo), s * c
-
-
-def _lmin2(d0, d1, c) -> float:
-    return (d0 + d1) / 2.0 - math.hypot((d0 - d1) / 2.0, abs(c))
-
-
-def _norm2(d0, d1, c) -> float:
-    return math.sqrt(d0 * d0 + d1 * d1 + 2.0 * (c.real * c.real + c.imag * c.imag))
-
-
-def _solve_2x2(am, bm, cfg: SolverConfig):
-    a0, a1, ac = am[0, 0].real, am[1, 1].real, complex(am[0, 1])
-    b0, b1, bc = bm[0, 0].real, bm[1, 1].real, complex(bm[0, 1])
-    k0, k1, kc = a0 + b0 - 1.0, a1 + b1 - 1.0, ac + bc
-
-    # Initial iterate: midpoint shifted by the positive part of A+B-I, then
-    # eigenvalue-clamped into [0, 1] (two nested psd clips, exact in 2x2).
-    s0, s1, sc = _psd2(k0, k1, kc)
-    x0, x1, xc = (a0 + b0 - s0) / 2.0, (a1 + b1 - s1) / 2.0, (ac + bc - sc) / 2.0
-    x0, x1, xc = _psd2(x0, x1, xc)
-    t0, t1, tc = _psd2(1.0 - x0, 1.0 - x1, -xc)
-    x0, x1, xc = 1.0 - t0, 1.0 - t1, -tc
-
-    p = [(0.0, 0.0, 0j)] * 4
-
-    w = cfg.stall_window
-    r_win: deque = deque(maxlen=w)
-    d_win: deque = deque(maxlen=w)
-    c_hist: deque = deque(maxlen=3 * w + 1)
-
-    def residual(y0, y1, yc):
-        viol = -min(
-            _lmin2(y0, y1, yc),
-            _lmin2(a0 - y0, a1 - y1, ac - yc),
-            _lmin2(b0 - y0, b1 - y1, bc - yc),
-            _lmin2(y0 - k0, y1 - k1, yc - kc),
-        )
-        return max(0.0, viol)
-
-    def as_array(y0, y1, yc):
-        return np.array([[y0, yc], [yc.conjugate(), y1]], dtype=complex)
-
-    # Same corner scan as the dense path, in scalar form.
-    for c0, c1, cc in ((0.0, 0.0, 0j), (a0, a1, ac), (b0, b1, bc),
-                       _psd2(k0, k1, kc)):
-        if residual(c0, c1, cc) < cfg.feas_tol:
-            k = as_array(k0, k1, kc)
-            x, r, extra = _polish(as_array(c0, c1, cc), am, bm, k, cfg.feas_tol)
-            return Verdict.COEXISTENT, x, r, extra
-
-    r = residual(x0, x1, xc)
-    for cycle in range(1, cfg.max_cycles + 1):
-        if r < cfg.feas_tol:
-            k = as_array(k0, k1, kc)
-            x, r, extra = _polish(as_array(x0, x1, xc), am, bm, k, cfg.feas_tol)
-            return Verdict.COEXISTENT, x, r, cycle - 1 + extra
-
-        s0, s1, sc = x0, x1, xc
-
-        y0, y1, yc = x0 + p[0][0], x1 + p[0][1], xc + p[0][2]
-        x0, x1, xc = _psd2(y0, y1, yc)
-        p[0] = (y0 - x0, y1 - x1, yc - xc)
-
-        y0, y1, yc = x0 + p[1][0], x1 + p[1][1], xc + p[1][2]
-        t0, t1, tc = _psd2(a0 - y0, a1 - y1, ac - yc)
-        x0, x1, xc = a0 - t0, a1 - t1, ac - tc
-        p[1] = (y0 - x0, y1 - x1, yc - xc)
-
-        y0, y1, yc = x0 + p[2][0], x1 + p[2][1], xc + p[2][2]
-        t0, t1, tc = _psd2(b0 - y0, b1 - y1, bc - yc)
-        x0, x1, xc = b0 - t0, b1 - t1, bc - tc
-        p[2] = (y0 - x0, y1 - x1, yc - xc)
-
-        y0, y1, yc = x0 + p[3][0], x1 + p[3][1], xc + p[3][2]
-        t0, t1, tc = _psd2(y0 - k0, y1 - k1, yc - kc)
-        x0, x1, xc = k0 + t0, k1 + t1, kc + tc
-        p[3] = (y0 - x0, y1 - x1, yc - xc)
-
-        r = residual(x0, x1, xc)
-        r_win.append(r)
-        d_win.append(_norm2(x0 - s0, x1 - s1, xc - sc))
-        c_hist.append(sum(_norm2(*q) for q in p))
-
-        if _stalled(r_win, d_win, c_hist, w):
-            if r > cfg.sep_tol:
-                return Verdict.NOT_COEXISTENT, None, r, cycle
-            return Verdict.INDETERMINATE, None, r, cycle
-
-    if r < cfg.feas_tol:
-        k = as_array(k0, k1, kc)
-        x, r, extra = _polish(as_array(x0, x1, xc), am, bm, k, cfg.feas_tol)
         return Verdict.COEXISTENT, x, r, cfg.max_cycles + extra
     return Verdict.INDETERMINATE, None, r, cfg.max_cycles
 
@@ -496,8 +377,7 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     if _order_key(second) < _order_key(first):
         first, second = second, first
 
-    solve = _solve_2x2 if ea.dim == 2 else _solve_general
-    verdict, m_raw, residual, cycles = solve(first, second, cfg)
+    verdict, m_raw, residual, cycles = _dykstra(first, second, cfg)
 
     if verdict is Verdict.COEXISTENT:
         # A witness M for the solved orientation is also one for the caller's
@@ -552,14 +432,16 @@ def decide_blockwise(a_blocks, b_blocks, cfg: SolverConfig | None = None, *,
 
 
 def _check_psd(name: str, m: np.ndarray, tol: float):
+    if not np.isfinite(m).all():
+        raise InvalidCertificate(f"{name} >= 0", math.nan)
     lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    if lo < -tol:
+    if not lo >= -tol:
         raise InvalidCertificate(f"{name} >= 0", -lo)
 
 
 def _check_close(name: str, x: np.ndarray, y: np.ndarray, tol: float):
     dev = float(np.linalg.norm(x - y))
-    if dev > tol:
+    if not dev <= tol:
         raise InvalidCertificate(name, dev)
 
 

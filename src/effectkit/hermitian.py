@@ -60,7 +60,7 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """
     m = _as_square_array(matrix)
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {dev:.6g} (tolerance {tol:g})"
         )
@@ -154,14 +154,6 @@ def as_effect(value, tol: float = EFFECT_SPECTRUM_TOL) -> Effect:
     return Effect(value, tol)
 
 
-def effect_validate(matrix, tol: float = EFFECT_SPECTRUM_TOL) -> Effect:
-    """Validate an array as an effect.
-
-    Raises NotHermitian or SpectrumOutOfRange with the offending quantity.
-    """
-    return Effect(matrix, tol)
-
-
 def clamped_effect(matrix) -> Effect:
     """Clamp all eigenvalues into [0, 1] and wrap the result.
 
@@ -221,15 +213,13 @@ def strictly_less(a, b, tol: float = ORDER_TOL) -> bool:
     return bool(np.linalg.eigvalsh(d)[0] > tol)
 
 
-def psd_part(matrix) -> np.ndarray:
-    """Projection onto the positive semidefinite cone in Frobenius norm.
+def _psd_kernel(m: np.ndarray) -> np.ndarray:
+    """Frobenius projection of a Hermitian array onto the PSD cone, unchecked.
 
-    Clips negative eigenvalues to zero.  Idempotent at the 1e-12 level; PSD
-    inputs are returned symmetrised but otherwise unchanged.
+    PSD input is returned as is.  The caller vouches that m is Hermitian;
+    the result is Hermitian up to rounding.
     """
-    m = require_hermitian(matrix)
-    n = m.shape[0]
-    if n == 2:
+    if m.shape[0] == 2:
         # Closed form: a 2x2 Hermitian with eigenvalues lo <= hi and lo < 0
         # projects to hi/(hi - lo) * (M - lo*I); other sign cases are trivial.
         half_tr = (m[0, 0].real + m[1, 1].real) / 2.0
@@ -240,19 +230,21 @@ def psd_part(matrix) -> np.ndarray:
             return m
         if hi <= 0.0:
             return np.zeros_like(m)
-        scale = hi / (hi - lo)
-        out = scale * (m - lo * np.eye(2))
-        return (out + out.conj().T) / 2.0
+        return hi / (hi - lo) * (m - lo * np.eye(2))
     w, v = np.linalg.eigh(m)
     if w[0] >= 0.0:
         return m
-    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def psd_part(matrix) -> np.ndarray:
+    """Projection onto the positive semidefinite cone in Frobenius norm.
+
+    Clips negative eigenvalues to zero.  Idempotent at the 1e-12 level; PSD
+    inputs are returned symmetrised but otherwise unchanged.
+    """
+    out = _psd_kernel(require_hermitian(matrix))
     return (out + out.conj().T) / 2.0
-
-
-def psd_project(matrix) -> np.ndarray:
-    """Alias of psd_part, named for callers thinking of it as a projection."""
-    return psd_part(matrix)
 
 
 def sqrt_psd(matrix) -> np.ndarray:

@@ -119,6 +119,8 @@ def document_matrix(doc: dict):
                            for v in pair)):
             raise FileFormatError(f"entry {i} is not a [re, im] pair")
         flat[i] = complex(pair[0], pair[1])
+    if not np.isfinite(flat).all():
+        raise FileFormatError("entries must be finite numbers")
     m = flat.reshape(dim, dim)
     kind = doc.get("kind")
     if kind == "effect":

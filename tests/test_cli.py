@@ -150,6 +150,10 @@ def test_malformed_file_exits_66(tmp_path, capsys):
     bad.write_text("{{{")
     code = main(["check", str(bad), str(bad)])
     assert code == 66
+    bad.write_text('{"dim": 2, "entries": '
+                   '[[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}')
+    code = main(["check", str(bad), str(bad)])
+    assert code == 66
 
 
 def test_non_effect_matrix_exits_66(tmp_path, capsys):

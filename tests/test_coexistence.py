@@ -20,8 +20,10 @@ from effectkit.coexistence import (
     verify_efg,
     verify_mn,
 )
+from effectkit.harness import trial_rng
 from effectkit.hermitian import (
     Effect,
+    NotHermitian,
     as_matrix,
     conjugate,
     direct_sum,
@@ -68,13 +70,32 @@ def test_rank_one_frozen_peaks_and_verdicts():
             assert verify_mn(a, b, *res.witness)
 
 
+# Solver cycle counts on 2x2 pairs, frozen: the rank-one cases above with
+# fast paths off, then criterion 6's generic pairs 63, 89 and 166, which
+# iterate long before converging.
+FROZEN_RANK_ONE_CYCLES = (1, 298, 261)
+FROZEN_GENERIC_2X2 = ((63, 37), (89, 1209), (166, 1244))
+
+
 def test_rank_one_solver_agreement():
-    for overlap, _, expected in FROZEN_RANK_ONE:
+    for (overlap, _, expected), cycles in zip(FROZEN_RANK_ONE,
+                                              FROZEN_RANK_ONE_CYCLES):
         a, b = rank_one_pair(0.6, 0.6, overlap)
         res = decide(a, b, fast_paths=False)
         assert res.verdict == expected
         assert res.reason == Reason.FEASIBILITY_SOLVER
-        assert res.iterations > 0
+        assert res.iterations == cycles
+        if expected == Verdict.COEXISTENT:
+            assert verify_mn(a, b, *res.witness)
+    for index, cycles in FROZEN_GENERIC_2X2:
+        rng = trial_rng(0, "acc6:2", index)
+        a = random_effect(2, seed=rng)
+        b = random_effect(2, seed=rng)
+        res = decide(a, b)
+        assert res.verdict == Verdict.COEXISTENT
+        assert res.reason == Reason.FEASIBILITY_SOLVER
+        assert res.iterations == cycles
+        assert verify_mn(a, b, *res.witness)
 
 
 def test_scalar_rule():
@@ -251,6 +272,27 @@ def test_invalid_certificate_details():
         mn_to_efg(bad, np.zeros((2, 2)), a, a)
     assert "M" in err.value.constraint
     assert err.value.margin >= 0.009
+
+
+def test_verifiers_fail_closed_on_non_finite_witnesses():
+    for dim in (2, 3):
+        a = random_effect(dim, seed=13)
+        b = orthocomplement(a)
+        for value in (np.nan, np.inf, -np.inf):
+            w = np.full((dim, dim), value, dtype=complex)
+            assert not verify_mn(a, b, w, w)
+            assert not verify_efg(a, b, w, w, w)
+            with pytest.raises(InvalidCertificate):
+                mn_to_efg(w, w, a, b)
+            with pytest.raises(InvalidCertificate):
+                efg_to_mn(w, w, w, a, b)
+
+
+def test_decide_rejects_non_finite_input():
+    for dim in (2, 3):
+        bad = np.diag([np.nan] + [0.5] * (dim - 1))
+        with pytest.raises(NotHermitian):
+            decide(bad, random_effect(dim, seed=0))
 
 
 def test_decide_blockwise_scalar_blocks():

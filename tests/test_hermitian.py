@@ -14,14 +14,12 @@ from effectkit.hermitian import (
     clamped_effect,
     conjugate,
     direct_sum,
-    effect_validate,
     eig,
     identity_effect,
     loewner_leq,
     operator_norm,
     orthocomplement,
     psd_part,
-    psd_project,
     random_effect,
     random_projection,
     random_unitary,
@@ -131,6 +129,15 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_entries_are_rejected():
+    for value in (np.nan, np.inf, -np.inf):
+        m = np.diag([value, 0.5])
+        for entry in (Effect, eig, spectrum, psd_part, clamped_effect):
+            with pytest.raises(NotHermitian):
+                entry(m)
+
+
 def test_require_hermitian_symmetrises():
     m = np.array([[1.0, 0.5 + 1e-14j], [0.5, 0.0]], dtype=complex)
     out = require_hermitian(m)
@@ -138,20 +145,20 @@ def test_require_hermitian_symmetrises():
 
 
 def test_effect_accepts_identity():
-    e = effect_validate(np.eye(3, dtype=complex))
+    e = Effect(np.eye(3, dtype=complex))
     assert e.dim == 3
 
 
 def test_effect_rejects_eigenvalue_above_one():
     with pytest.raises(SpectrumOutOfRange) as err:
-        effect_validate(np.diag([1.2, 0.5]).astype(complex))
+        Effect(np.diag([1.2, 0.5]).astype(complex))
     assert err.value.eigenvalue == pytest.approx(1.2)
 
 
 def test_effect_rank_one_shift_spectrum():
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     h = 0.5 * (np.eye(3) + np.outer(v, v)).astype(complex)
-    assert np.allclose(spectrum(effect_validate(h)), [0.5, 0.5, 1.0], atol=1e-12)
+    assert np.allclose(spectrum(Effect(h)), [0.5, 0.5, 1.0], atol=1e-12)
 
 
 def test_effect_clamps_tolerated_excursions():
@@ -234,12 +241,12 @@ def test_psd_part_frozen_rank_deficient_case():
     assert np.allclose(out, 1.5 * np.ones((2, 2)), atol=1e-14)
 
 
-def test_psd_project_alias_idempotent():
+def test_psd_part_idempotent():
     rng = np.random.default_rng(13)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (g + g.conj().T) / 2.0
-    once = psd_project(h)
-    assert np.allclose(psd_project(once), once, atol=1e-12)
+    once = psd_part(h)
+    assert np.allclose(psd_part(once), once, atol=1e-12)
 
 
 def test_psd_part_is_frobenius_nearest():

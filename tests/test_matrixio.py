@@ -80,6 +80,18 @@ def test_document_matrix_validates_shape():
         document_matrix({"dim": 1, "entries": [[0.0]]})
 
 
+def test_document_matrix_rejects_non_finite(tmp_path):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        for kind in ({}, {"kind": "effect"}):
+            doc = {"dim": 1, **kind, "entries": [[value, 0.0]]}
+            with pytest.raises(FileFormatError):
+                document_matrix(doc)
+    path = tmp_path / "nan.mat"
+    path.write_text('{"dim": 1, "entries": [[NaN, 0.0]]}')
+    with pytest.raises(FileFormatError):
+        read_matrix(path)
+
+
 def test_document_matrix_effect_kind_revalidates():
     doc = {"dim": 2, "kind": "effect",
            "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
