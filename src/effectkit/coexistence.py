@@ -26,6 +26,8 @@ from .hermitian import (
     direct_sum,
     random_effect,
     sqrt_psd,
+    _eigvalsh_lo,
+    _lapack_checked,
     _psd_kernel,
     _rng,
 )
@@ -243,10 +245,22 @@ def _stalled(r_win, d_win, c_hist, window: int) -> bool:
     return False
 
 
-def _residual_np(x, am, bm, k) -> float:
-    stack = np.stack((x, am - x, bm - x, x - k))
-    mins = np.linalg.eigvalsh(stack)[:, 0]
-    return max(0.0, float(-mins.min()))
+# The four constraint matrices X, A - X, B - X and X - K of an iterate X are
+# base + _SIGNS * X, with base = (0, A, B, -K) stacked once per solve.
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(4, 1, 1)
+
+
+def _residual(x, base) -> float:
+    """Largest violation of the four constraints at x, or 0 if none."""
+    lo = _eigvalsh_lo(base + _SIGNS * x).min()
+    return max(0.0, float(-lo))
+
+
+def _norm(m: np.ndarray) -> float:
+    """np.linalg.norm(m) of a complex array, by numpy's own formula."""
+    m = m.ravel(order="K")
+    re, im = m.real, m.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _initial_iterate(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
@@ -256,7 +270,7 @@ def _initial_iterate(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
 
 
-def _corner_witness(am, bm, k, feas_tol):
+def _corner_witness(am, bm, k, base, feas_tol):
     """Closed-form candidates that certify easy instances without iterating.
 
     M = 0 is feasible whenever A + B <= I, M = A whenever A <= B (and
@@ -268,22 +282,22 @@ def _corner_witness(am, bm, k, feas_tol):
     """
     for cand in (np.zeros_like(k), np.asarray(am, dtype=complex),
                  np.asarray(bm, dtype=complex), _psd_kernel(k)):
-        if _residual_np(cand, am, bm, k) < feas_tol:
+        if _residual(cand, base) < feas_tol:
             return cand
     return None
 
 
-def _polish(x, am, bm, k, feas_tol):
+def _polish(x, am, bm, k, base):
     """Plain cyclic projections to sharpen a near-feasible iterate."""
     best = x
-    best_r = _residual_np(x, am, bm, k)
+    best_r = _residual(x, base)
     used = 0
     for used in range(1, _POLISH_CYCLES + 1):
         x = _psd_kernel(x)
         x = am - _psd_kernel(am - x)
         x = bm - _psd_kernel(bm - x)
         x = k + _psd_kernel(x - k)
-        r = _residual_np(x, am, bm, k)
+        r = _residual(x, base)
         if r < best_r:
             best, best_r = x, r
         if r <= _POLISH_TARGET:
@@ -291,13 +305,15 @@ def _polish(x, am, bm, k, feas_tol):
     return best, best_r, used
 
 
+@_lapack_checked()
 def _dykstra(am, bm, cfg: SolverConfig):
     """Dykstra loop over the four order-interval sets."""
     n = am.shape[0]
     k = am + bm - np.eye(n)
-    corner = _corner_witness(am, bm, k, cfg.feas_tol)
+    base = np.stack((np.zeros_like(k), am, bm, -k))
+    corner = _corner_witness(am, bm, k, base, cfg.feas_tol)
     if corner is not None:
-        x, r, extra = _polish(corner, am, bm, k, cfg.feas_tol)
+        x, r, extra = _polish(corner, am, bm, k, base)
         return Verdict.COEXISTENT, x, r, extra
     x = _initial_iterate(am, bm)
     zero = np.zeros((n, n), dtype=complex)
@@ -308,10 +324,10 @@ def _dykstra(am, bm, cfg: SolverConfig):
     d_win: deque = deque(maxlen=w)
     c_hist: deque = deque(maxlen=3 * w + 1)
 
-    r = _residual_np(x, am, bm, k)
+    r = _residual(x, base)
     for cycle in range(1, cfg.max_cycles + 1):
         if r < cfg.feas_tol:
-            x, r, extra = _polish(x, am, bm, k, cfg.feas_tol)
+            x, r, extra = _polish(x, am, bm, k, base)
             return Verdict.COEXISTENT, x, r, cycle - 1 + extra
 
         x_start = x
@@ -328,11 +344,10 @@ def _dykstra(am, bm, cfg: SolverConfig):
         x = k + _psd_kernel(y - k)
         p4 = y - x
 
-        r = _residual_np(x, am, bm, k)
+        r = _residual(x, base)
         r_win.append(r)
-        d_win.append(float(np.linalg.norm(x - x_start)))
-        c_hist.append(float(np.linalg.norm(p1) + np.linalg.norm(p2)
-                            + np.linalg.norm(p3) + np.linalg.norm(p4)))
+        d_win.append(_norm(x - x_start))
+        c_hist.append(_norm(p1) + _norm(p2) + _norm(p3) + _norm(p4))
 
         if _stalled(r_win, d_win, c_hist, w):
             if r > cfg.sep_tol:
@@ -340,7 +355,7 @@ def _dykstra(am, bm, cfg: SolverConfig):
             return Verdict.INDETERMINATE, None, r, cycle
 
     if r < cfg.feas_tol:
-        x, r, extra = _polish(x, am, bm, k, cfg.feas_tol)
+        x, r, extra = _polish(x, am, bm, k, base)
         return Verdict.COEXISTENT, x, r, cfg.max_cycles + extra
     return Verdict.INDETERMINATE, None, r, cfg.max_cycles
 
@@ -431,12 +446,22 @@ def decide_blockwise(a_blocks, b_blocks, cfg: SolverConfig | None = None, *,
 # Certificates
 
 
-def _check_psd(name: str, m: np.ndarray, tol: float):
-    if not np.isfinite(m).all():
-        raise InvalidCertificate(f"{name} >= 0", math.nan)
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    if not lo >= -tol:
-        raise InvalidCertificate(f"{name} >= 0", -lo)
+def _check_psd(names, mats, tol: float):
+    """Check each matrix is PSD at tol; the first that fails, in order, raises.
+
+    A non-finite matrix fails with margin NaN.  The finite ones before it go
+    through one stacked eigvalsh.
+    """
+    stack = np.stack(mats)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    checked = len(mats) if finite.all() else int(finite.argmin())
+    herm = stack[:checked]
+    lows = np.linalg.eigvalsh((herm + herm.conj().swapaxes(1, 2)) / 2.0)[:, 0]
+    for name, lo in zip(names, lows):
+        if not lo >= -tol:
+            raise InvalidCertificate(f"{name} >= 0", -float(lo))
+    if checked < len(mats):
+        raise InvalidCertificate(f"{names[checked]} >= 0", math.nan)
 
 
 def _check_close(name: str, x: np.ndarray, y: np.ndarray, tol: float):
@@ -449,10 +474,8 @@ def _check_mn(a, b, m, n, tol: float):
     am, bm = as_matrix(a), as_matrix(b)
     mm, nm = as_matrix(m), as_matrix(n)
     eye = np.eye(am.shape[0])
-    _check_psd("M", mm, tol)
-    _check_psd("N", nm, tol)
-    _check_psd("A - M", am - mm, tol)
-    _check_psd("(I - A) - N", eye - am - nm, tol)
+    _check_psd(("M", "N", "A - M", "(I - A) - N"),
+               (mm, nm, am - mm, eye - am - nm), tol)
     _check_close("M + N = B", mm + nm, bm, tol)
     return am, bm, mm, nm
 
@@ -461,10 +484,8 @@ def _check_efg(a, b, e, f, g, tol: float):
     am, bm = as_matrix(a), as_matrix(b)
     em, fm, gm = as_matrix(e), as_matrix(f), as_matrix(g)
     eye = np.eye(am.shape[0])
-    _check_psd("E", em, tol)
-    _check_psd("F", fm, tol)
-    _check_psd("G", gm, tol)
-    _check_psd("I - (E + F + G)", eye - em - fm - gm, tol)
+    _check_psd(("E", "F", "G", "I - (E + F + G)"),
+               (em, fm, gm, eye - em - fm - gm), tol)
     _check_close("E + G = A", em + gm, am, tol)
     _check_close("F + G = B", fm + gm, bm, tol)
     return am, bm, em, fm, gm

@@ -13,6 +13,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# The LAPACK Hermitian eigensolver gufuncs that np.linalg.eigh and
+# np.linalg.eigvalsh dispatch to.  Their wrappers add about 5 us per call,
+# as much as LAPACK's own work at n = 3 to 5, so the solver's hot loop calls
+# the gufuncs directly.  This is private numpy API, checked on numpy 2.4.6
+# only.
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+
 # Tolerance ladder, loosest use comes last: input hermiticity is checked at
 # 1e-12, eigendecompositions must reconstruct their input to 1e-10, spectrum
 # membership for effects is enforced at 1e-9 and Loewner order comparisons
@@ -28,7 +36,8 @@ INTERIOR_MARGIN = 1e-3
 
 
 class NotHermitian(ValueError):
-    """Input matrix differs from its conjugate transpose beyond tolerance."""
+    """Input matrix has a non-finite entry, or differs from its conjugate
+    transpose beyond tolerance."""
 
 
 class SpectrumOutOfRange(ValueError):
@@ -49,6 +58,8 @@ def _as_square_array(matrix) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValueError("empty matrix")
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix has non-finite entries")
     return m
 
 
@@ -209,7 +220,7 @@ def loewner_leq(a, b, tol: float = ORDER_TOL) -> bool:
 def strictly_less(a, b, tol: float = ORDER_TOL) -> bool:
     """Whether B - A is positive definite with margin strictly above tol."""
     d = as_matrix(b) - as_matrix(a)
-    d = (d + d.conj().T) / 2.0
+    d = require_hermitian(d, tol=np.inf)  # difference of Hermitians; no check
     return bool(np.linalg.eigvalsh(d)[0] > tol)
 
 
@@ -217,7 +228,8 @@ def _psd_kernel(m: np.ndarray) -> np.ndarray:
     """Frobenius projection of a Hermitian array onto the PSD cone, unchecked.
 
     PSD input is returned as is.  The caller vouches that m is Hermitian;
-    the result is Hermitian up to rounding.
+    the result is Hermitian up to rounding.  Call it under _lapack_checked,
+    or a LAPACK failure comes back as NaN.
     """
     if m.shape[0] == 2:
         # Closed form: a 2x2 Hermitian with eigenvalues lo <= hi and lo < 0
@@ -231,10 +243,24 @@ def _psd_kernel(m: np.ndarray) -> np.ndarray:
         if hi <= 0.0:
             return np.zeros_like(m)
         return hi / (hi - lo) * (m - lo * np.eye(2))
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh_lo(m)
     if w[0] >= 0.0:
         return m
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_checked() -> np.errstate:
+    """Floating-point state in which a failed _eigh_lo or _eigvalsh_lo raises.
+
+    A gufunc whose LAPACK call does not converge fills its output with NaN
+    and sets the invalid flag; this turns the flag into LinAlgError, as
+    np.linalg does.  Use it as a context manager or a function decorator.
+    """
+    return np.errstate(call=_raise_nonconvergence, invalid="call")
 
 
 def psd_part(matrix) -> np.ndarray:
@@ -243,7 +269,9 @@ def psd_part(matrix) -> np.ndarray:
     Clips negative eigenvalues to zero.  Idempotent at the 1e-12 level; PSD
     inputs are returned symmetrised but otherwise unchanged.
     """
-    out = _psd_kernel(require_hermitian(matrix))
+    m = require_hermitian(matrix)
+    with _lapack_checked():
+        out = _psd_kernel(m)
     return (out + out.conj().T) / 2.0
 
 
@@ -292,7 +320,7 @@ def require_unitary(u, tol: float = 1e-10) -> np.ndarray:
     """Check ||U*U - I||_F <= tol and return U as a complex array."""
     m = _as_square_array(u)
     dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not unitary: ||U*U - I|| = {dev:.6g}")
     return m
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from effectkit import coexistence, hermitian
 from effectkit.coexistence import (
     CERT_TOL,
     CoexistenceVerdict,
@@ -70,11 +71,19 @@ def test_rank_one_frozen_peaks_and_verdicts():
             assert verify_mn(a, b, *res.witness)
 
 
-# Solver cycle counts on 2x2 pairs, frozen: the rank-one cases above with
-# fast paths off, then criterion 6's generic pairs 63, 89 and 166, which
-# iterate long before converging.
+# Solver verdicts and cycle counts, frozen: the rank-one cases above with
+# fast paths off, then (dim, index, verdict, cycles) for pairs of criterion
+# 6's generic stream, which iterate long before deciding.
 FROZEN_RANK_ONE_CYCLES = (1, 298, 261)
-FROZEN_GENERIC_2X2 = ((63, 37), (89, 1209), (166, 1244))
+FROZEN_GENERIC = (
+    (2, 63, Verdict.COEXISTENT, 37),
+    (2, 89, Verdict.COEXISTENT, 1209),
+    (2, 166, Verdict.COEXISTENT, 1244),
+    (3, 70, Verdict.NOT_COEXISTENT, 550),
+    (3, 51, Verdict.COEXISTENT, 923),
+    (4, 13, Verdict.NOT_COEXISTENT, 2406),
+    (5, 17, Verdict.NOT_COEXISTENT, 946),
+)
 
 
 def test_rank_one_solver_agreement():
@@ -87,15 +96,29 @@ def test_rank_one_solver_agreement():
         assert res.iterations == cycles
         if expected == Verdict.COEXISTENT:
             assert verify_mn(a, b, *res.witness)
-    for index, cycles in FROZEN_GENERIC_2X2:
-        rng = trial_rng(0, "acc6:2", index)
-        a = random_effect(2, seed=rng)
-        b = random_effect(2, seed=rng)
+    for dim, index, expected, cycles in FROZEN_GENERIC:
+        rng = trial_rng(0, f"acc6:{dim}", index)
+        a = random_effect(dim, seed=rng)
+        b = random_effect(dim, seed=rng)
         res = decide(a, b)
-        assert res.verdict == Verdict.COEXISTENT
+        assert res.verdict == expected
         assert res.reason == Reason.FEASIBILITY_SOLVER
         assert res.iterations == cycles
-        assert verify_mn(a, b, *res.witness)
+        if expected == Verdict.COEXISTENT:
+            assert verify_mn(a, b, *res.witness)
+
+
+@pytest.mark.parametrize("module, gufunc", [(hermitian, "_eigh_lo"),
+                                            (coexistence, "_eigvalsh_lo")])
+def test_solver_raises_when_the_eigensolver_fails(monkeypatch, module, gufunc):
+    # Fed NaN, the LAPACK gufunc fails as on non-convergence: NaN output and
+    # the invalid flag set.  The solver must raise, not read NaN as residual 0.
+    real = getattr(module, gufunc)
+    monkeypatch.setattr(module, gufunc, lambda m: real(np.full_like(m, np.nan)))
+    a = random_effect(3, seed=41)
+    b = random_effect(3, seed=42)
+    with pytest.raises(np.linalg.LinAlgError):
+        decide(a, b, fast_paths=False)
 
 
 def test_scalar_rule():

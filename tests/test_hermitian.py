@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from effectkit import hermitian
 from effectkit.hermitian import (
     EFFECT_SPECTRUM_TOL,
     RECONSTRUCTION_TOL,
@@ -138,6 +139,20 @@ def test_non_finite_entries_are_rejected():
                 entry(m)
 
 
+def test_order_and_unitary_checks_reject_non_finite_input():
+    nan_matrix = np.full((3, 3), np.nan, dtype=complex)
+    inf_entry = np.eye(3, dtype=complex)
+    inf_entry[0, 1] = np.inf
+    zero = np.zeros((3, 3))
+    for bad in (nan_matrix, inf_entry):
+        for check in (operator_norm, require_unitary,
+                      lambda m: conjugate(random_effect(3, seed=1), m),
+                      lambda m: loewner_leq(zero, m),
+                      lambda m: strictly_less(zero, m)):
+            with pytest.raises(NotHermitian):
+                check(bad)
+
+
 def test_require_hermitian_symmetrises():
     m = np.array([[1.0, 0.5 + 1e-14j], [0.5, 0.0]], dtype=complex)
     out = require_hermitian(m)
@@ -259,6 +274,28 @@ def test_psd_part_is_frobenius_nearest():
         c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cand = c @ c.conj().T * rng.uniform(0.0, 2.0)
         assert np.linalg.norm(cand - h) >= best - 1e-12
+
+
+def test_psd_kernel_matches_eigh_reference():
+    rng = np.random.default_rng(29)
+    for n in range(3, 9):
+        for _ in range(20):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (g + g.conj().T) / 2.0
+            w, v = np.linalg.eigh(h)
+            reference = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            assert hermitian._psd_kernel(h).tobytes() == reference.tobytes()
+        psd = g @ g.conj().T + n * np.eye(n)
+        assert hermitian._psd_kernel(psd) is psd
+
+
+def test_psd_part_raises_when_the_eigensolver_fails(monkeypatch):
+    # Fed NaN, the LAPACK gufunc fails as on non-convergence.
+    real = hermitian._eigh_lo
+    monkeypatch.setattr(hermitian, "_eigh_lo",
+                        lambda m: real(np.full_like(m, np.nan)))
+    with pytest.raises(np.linalg.LinAlgError):
+        psd_part(np.diag([-1.0, 0.5, 0.5]))
 
 
 def test_sqrt_psd_squares_back():
