@@ -9,6 +9,7 @@ command line front end for all of it.
 """
 
 from .hermitian import (
+    CLASSIFY_TOL,
     EFFECT_SPECTRUM_TOL,
     HERMITICITY_TOL,
     INTERIOR_MARGIN,
@@ -40,7 +41,6 @@ from .hermitian import (
     zero_effect,
 )
 from .strata import (
-    CLASSIFY_TOL,
     canonical_form,
     classify,
     freedom_dimension,

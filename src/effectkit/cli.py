@@ -9,12 +9,13 @@ internal failures.  The check subcommand encodes its verdict as 0
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 
 from .coexistence import SolverConfig, Verdict, decide, mn_to_efg
 from .harness import SUITE_NAMES, HarnessConfig, run_all, write_report
-from .hermitian import ORDER_TOL, NotHermitian, SpectrumOutOfRange, as_effect
+from .hermitian import NotHermitian, SpectrumOutOfRange, as_effect
 from .matrixio import (
     FileFormatError,
     dumps_document,
@@ -26,7 +27,7 @@ from .matrixio import (
 )
 from .preservers import BlockCounterexampleSpec, document_preserver_spec, preserver_handle
 from .reconstruction import reconstruct
-from .strata import CLASSIFY_TOL, classify, freedom_dimension
+from .strata import classify, freedom_dimension
 
 EX_USAGE = 64
 EX_NOINPUT = 66
@@ -53,12 +54,31 @@ def _load_effect(path):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        feas_tol=args.feas_tol,
-        sep_tol=args.sep_tol,
-        max_cycles=args.max_cycles,
-        stall_window=args.stall_window,
-    )
+    try:
+        return SolverConfig(
+            feas_tol=args.feas_tol,
+            sep_tol=args.sep_tol,
+            max_cycles=args.max_cycles,
+            stall_window=args.stall_window,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _tolerance(text: str) -> float:
+    """Value of --tol: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _tol_kwargs(args) -> dict:
+    """--tol as a keyword argument; without it the callee's default applies."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _add_solver_flags(parser):
@@ -75,8 +95,7 @@ def _add_solver_flags(parser):
 def _cmd_check(args) -> int:
     a = _load_effect(args.a)
     b = _load_effect(args.b)
-    tol = args.tol if args.tol is not None else ORDER_TOL
-    res = decide(a, b, _solver_config(args), tol=tol)
+    res = decide(a, b, _solver_config(args), **_tol_kwargs(args))
     print(f"verdict: {res.verdict.value}")
     print(f"reason: {res.reason.value}")
     print(f"residual: {res.residual:.6g}")
@@ -102,8 +121,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_stratify(args) -> int:
     e = _load_effect(args.a)
-    tol = args.tol if args.tol is not None else CLASSIFY_TOL
-    p, q = classify(e, tol)
+    p, q = classify(e, **_tol_kwargs(args))
     print(f"p: {p}")
     print(f"q: {q}")
     print(f"freedom_dimension: {freedom_dimension(e.dim, p, q)}")
@@ -131,9 +149,8 @@ def _cmd_reconstruct(args) -> int:
     if isinstance(spec, BlockCounterexampleSpec):
         raise UsageError("cannot reconstruct a cross-dimensional map")
     dim = args.dim if args.dim is not None else spec.dim
-    tol = args.tol if args.tol is not None else 1e-6
     try:
-        result = reconstruct(preserver_handle(spec), dim, tol)
+        result = reconstruct(preserver_handle(spec), dim, **_tol_kwargs(args))
     except ValueError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return 1
@@ -187,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "reconstruction, property-test harness.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for anything randomized")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="order/classification tolerance override")
+    parser.add_argument("--tol", type=_tolerance, default=None,
+                        help="order, classification or fit tolerance, finite and >= 0 "
+                             "(default: the command's own)")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("check", help="decide whether two effects coexist")

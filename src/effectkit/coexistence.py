@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .hermitian import (
+    DETECTION_TOL,
     ORDER_TOL,
     Effect,
     as_effect,
@@ -31,6 +32,7 @@ from .hermitian import (
     _psd_kernel,
     _rng,
 )
+from .strata import classify, is_projection, is_scalar
 
 # Solver defaults.  feas_tol and sep_tol are deliberately separated by two
 # orders of magnitude: residuals landing between them are reported as
@@ -43,13 +45,6 @@ STALL_WINDOW = 50
 # Certificates are checked at a looser tolerance than the solver works to,
 # leaving room for the eigenvalue clamp applied when packaging witnesses.
 CERT_TOL = 1e-6
-
-# Detection thresholds for the exact fast paths.
-SCALAR_SPREAD_TOL = 1e-9
-PROJECTION_EIG_TOL = 1e-9
-COMMUTATOR_TOL = 1e-9
-RANK_EIG_TOL = 1e-7
-IMAGE_OVERLAP_TOL = 1e-9
 
 # Stall detection for the infeasible branch.  On an empty intersection the
 # Dykstra iterate does not converge; its correction terms grow without bound,
@@ -146,12 +141,11 @@ def _not_coexistent(reason: Reason, residual: float,
 # Exact fast paths
 
 
-def _rank_one_peak(w: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Top eigenvector if exactly one eigenvalue counts as nonzero."""
-    nonzero = int(np.sum(w >= RANK_EIG_TOL))
-    if nonzero != 1:
+def _rank_one_peak(e: Effect) -> np.ndarray | None:
+    """Top eigenvector if e has rank one: classify counts dim - 1 zeros."""
+    if classify(e)[1] != e.dim - 1:
         return None
-    return v[:, -1]
+    return e.eig.eigenvectors[:, -1]
 
 
 def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
@@ -161,33 +155,28 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
     with exactly the effects it commutes with; (3) commuting effects coexist;
     (4) two rank-one effects with distinct images coexist exactly when their
     sum is still an effect.  Each positive verdict carries a closed-form
-    witness.
+    witness.  Rules 1, 2 and 4 read the effects' cached eigendecompositions
+    through the strata predicates; tol governs only rule 4's peak test.
     """
     ea, eb = as_effect(a), as_effect(b)
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
     am, bm = ea.matrix, eb.matrix
-    eye = np.eye(ea.dim)
-
-    wa, va = np.linalg.eigh(am)
-    wb, vb = np.linalg.eigh(bm)
 
     # Rule 1: scalars.  tI admits the witness M = tB, N = (1-t)B; for scalar
     # B the mirrored split of B = tI itself is M = tA, N = t(I-A).
-    if wa[-1] - wa[0] <= SCALAR_SPREAD_TOL:
-        t = float(np.mean(wa))
+    scalar, t = is_scalar(ea, DETECTION_TOL)
+    if scalar:
         return _coexistent(Reason.SCALAR_RULE, t * bm, (1.0 - t) * bm)
-    if wb[-1] - wb[0] <= SCALAR_SPREAD_TOL:
-        t = float(np.mean(wb))
-        return _coexistent(Reason.SCALAR_RULE, t * am, t * (eye - am))
+    scalar, t = is_scalar(eb, DETECTION_TOL)
+    if scalar:
+        return _coexistent(Reason.SCALAR_RULE, t * am, t * (np.eye(ea.dim) - am))
 
     comm = np.linalg.norm(am @ bm - bm @ am)
-    commute = comm <= COMMUTATOR_TOL
+    commute = comm <= DETECTION_TOL
 
     # Rule 2: projections coexist exactly with their commutant.
-    proj_a = bool(np.all((wa <= PROJECTION_EIG_TOL) | (wa >= 1.0 - PROJECTION_EIG_TOL)))
-    proj_b = bool(np.all((wb <= PROJECTION_EIG_TOL) | (wb >= 1.0 - PROJECTION_EIG_TOL)))
-    if proj_a or proj_b:
+    if is_projection(ea, DETECTION_TOL) or is_projection(eb, DETECTION_TOL):
         if commute:
             m = _commuting_witness(am, bm)
             return _coexistent(Reason.PROJECTION_RULE, m, bm - m)
@@ -199,11 +188,11 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
         return _coexistent(Reason.COMMUTE_RULE, m, bm - m)
 
     # Rule 4: rank-one pair with distinct images.
-    pa = _rank_one_peak(wa, va)
-    pb = _rank_one_peak(wb, vb)
+    pa = _rank_one_peak(ea)
+    pb = _rank_one_peak(eb)
     if pa is not None and pb is not None:
         overlap = abs(np.vdot(pa, pb)) ** 2
-        if 1.0 - overlap >= IMAGE_OVERLAP_TOL:
+        if 1.0 - overlap >= DETECTION_TOL:
             peak = float(np.linalg.eigvalsh(am + bm)[-1])
             if peak <= 1.0 + tol:
                 # A + B <= I makes M = 0, N = B a valid split.
@@ -470,9 +459,24 @@ def _check_close(name: str, x: np.ndarray, y: np.ndarray, tol: float):
         raise InvalidCertificate(name, dev)
 
 
+def _check_shapes(names, parts):
+    """A certificate's parts as arrays, after checking each has A's shape.
+
+    A must be square.  A part of another shape fails the certificate with
+    margin NaN before any arithmetic, so numpy never broadcasts it.
+    """
+    mats = [as_matrix(x) for x in parts]
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise InvalidCertificate(f"shape of {names[0]} = (n, n), n >= 1", math.nan)
+    for name, x in zip(names[1:], mats[1:]):
+        if x.shape != shape:
+            raise InvalidCertificate(f"shape of {name} = {shape}", math.nan)
+    return mats
+
+
 def _check_mn(a, b, m, n, tol: float):
-    am, bm = as_matrix(a), as_matrix(b)
-    mm, nm = as_matrix(m), as_matrix(n)
+    am, bm, mm, nm = _check_shapes("ABMN", (a, b, m, n))
     eye = np.eye(am.shape[0])
     _check_psd(("M", "N", "A - M", "(I - A) - N"),
                (mm, nm, am - mm, eye - am - nm), tol)
@@ -481,8 +485,7 @@ def _check_mn(a, b, m, n, tol: float):
 
 
 def _check_efg(a, b, e, f, g, tol: float):
-    am, bm = as_matrix(a), as_matrix(b)
-    em, fm, gm = as_matrix(e), as_matrix(f), as_matrix(g)
+    am, bm, em, fm, gm = _check_shapes("ABEFG", (a, b, e, f, g))
     eye = np.eye(am.shape[0])
     _check_psd(("E", "F", "G", "I - (E + F + G)"),
                (em, fm, gm, eye - em - fm - gm), tol)
@@ -508,8 +511,7 @@ def efg_to_mn(e, f, g, a, b, tol: float = CERT_TOL):
 
     Inverse of mn_to_efg: returns (G, F).
     """
-    _check_efg(a, b, e, f, g, tol)
-    em, fm, gm = as_matrix(e), as_matrix(f), as_matrix(g)
+    _, _, _, fm, gm = _check_efg(a, b, e, f, g, tol)
     return gm, fm
 
 
@@ -566,15 +568,14 @@ def interior_perturbation(a, b, eps: float) -> np.ndarray:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     am, bm = as_matrix(a), as_matrix(b)
-    wa = np.linalg.eigvalsh((am + am.conj().T) / 2.0)
-    if wa[0] < 1e-9:
-        raise ValueError(f"A must be invertible: smallest eigenvalue {wa[0]:.6g}")
+    w, v = np.linalg.eigh((am + am.conj().T) / 2.0)
+    if w[0] < DETECTION_TOL:
+        raise ValueError(f"A must be invertible: smallest eigenvalue {w[0]:.6g}")
     if np.linalg.eigvalsh((bm + bm.conj().T) / 2.0)[0] < -ORDER_TOL:
         raise ValueError("need B >= 0")
     if np.linalg.eigvalsh((am - bm + (am - bm).conj().T) / 2.0)[0] < -ORDER_TOL:
         raise ValueError("need B <= A")
 
-    w, v = np.linalg.eigh((am + am.conj().T) / 2.0)
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     root = (v * np.sqrt(w)) @ v.conj().T
 

@@ -21,14 +21,17 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
-# Tolerance ladder, loosest use comes last: input hermiticity is checked at
-# 1e-12, eigendecompositions must reconstruct their input to 1e-10, spectrum
-# membership for effects is enforced at 1e-9 and Loewner order comparisons
-# accept violations up to 1e-9.  Callers can override per call.
-HERMITICITY_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
-EFFECT_SPECTRUM_TOL = 1e-9
-ORDER_TOL = 1e-9
+# Tolerance ladder, tightest rung first: every spectral and exact-rule
+# detection threshold in the package.  Callers can override per call.
+HERMITICITY_TOL = 1e-12     # require_hermitian, so every validated input
+RECONSTRUCTION_TOL = 1e-10  # an eigendecomposition reconstructs its input
+EFFECT_SPECTRUM_TOL = 1e-9  # Effect: spectrum snapped onto [0, 1] within it
+ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak (its tol)
+DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
+                            # image-overlap tests; apply_ges_bijective's scalar
+                            # test; interior_perturbation's invertibility test
+CLASSIFY_TOL = 1e-7         # strata predicates' default (classify, is_scalar,
+                            # is_projection, canonical_form); fast_path's rank
 
 # Randomly generated effects keep interior eigenvalues at least this far from
 # 0 and 1, so classifying generated data is never a coin flip.
@@ -85,6 +88,17 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _read_only(w: np.ndarray, v: np.ndarray) -> EigenDecomposition:
+    w.flags.writeable = v.flags.writeable = False
+    return EigenDecomposition(w, v)
+
+
+def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(clip(w, 0, 1)) V*, symmetrised: the spectrum clamped to [0, 1]."""
+    m = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
 def eig(matrix, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
     m = require_hermitian(matrix, tol)
@@ -100,10 +114,12 @@ class Effect:
     reconstruction), so effects built from honest data never carry -1e-15
     eigenvalue noise into later order comparisons.  Matrices whose spectrum
     is already inside [0, 1] are stored as given.  The array is marked
-    read-only.
+    read-only.  The effect carries its eigendecomposition ``eig``
+    (np.linalg.eigh of the stored matrix, read-only): kept from validation
+    when the input is stored as given, else computed on first use.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_eig")
 
     def __init__(self, matrix, tol: float = EFFECT_SPECTRUM_TOL):
         m = require_hermitian(matrix)
@@ -112,11 +128,12 @@ class Effect:
             raise SpectrumOutOfRange(float(w[0]), tol)
         if w[-1] > 1.0 + tol:
             raise SpectrumOutOfRange(float(w[-1]), tol)
-        if w[0] < 0.0 or w[-1] > 1.0:
-            m = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-            m = (m + m.conj().T) / 2.0
+        clamped = w[0] < 0.0 or w[-1] > 1.0
+        if clamped:
+            m = _clipped(w, v)
         m.flags.writeable = False
         self._matrix = m
+        self._eig = None if clamped else _read_only(w, v)
 
     @classmethod
     def trusted(cls, matrix: np.ndarray) -> "Effect":
@@ -129,7 +146,15 @@ class Effect:
         m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         eff._matrix = m
+        eff._eig = None
         return eff
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """Eigendecomposition of the stored matrix, computed at most once."""
+        if self._eig is None:
+            self._eig = _read_only(*np.linalg.eigh(self._matrix))
+        return self._eig
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,10 +197,7 @@ def clamped_effect(matrix) -> Effect:
     use it to round a near-effect produced by a numerical solve onto the set
     of exact effects.
     """
-    m = require_hermitian(matrix)
-    w, v = np.linalg.eigh(m)
-    clamped = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-    return Effect.trusted((clamped + clamped.conj().T) / 2.0)
+    return Effect.trusted(_clipped(*np.linalg.eigh(require_hermitian(matrix))))
 
 
 def identity_effect(dim: int) -> Effect:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian import (
+    DETECTION_TOL,
     Effect,
     as_effect,
     clamped_effect,
@@ -27,6 +28,7 @@ from .hermitian import (
     trace,
     _rng,
 )
+from .strata import is_scalar
 
 GRID_NODES = 1025  # value table of g on {k/1024 : k = 0..1024}
 
@@ -291,10 +293,8 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
     e = as_effect(a)
     if e.dim != spec.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {spec.dim}")
-    w = np.linalg.eigvalsh(e.matrix)
-
-    if w[-1] - w[0] <= 1e-9:
-        t = float(np.mean(w))
+    scalar, t = is_scalar(e, DETECTION_TOL)
+    if scalar:
         node = int(round(t * (GRID_NODES - 1)))
         return Effect.trusted(spec.grid[node] * np.eye(e.dim, dtype=complex))
 

@@ -53,9 +53,8 @@ class ReconstructionResult:
         return StandardAutomorphismSpec(self.unitary, self.antiunitary, self.perp)
 
 
-def _probe(handle: MapHandle, vec: np.ndarray) -> np.ndarray:
-    image = handle(Effect.trusted(np.outer(vec, vec.conj())))
-    return as_effect(image).matrix
+def _probe(handle: MapHandle, vec: np.ndarray) -> Effect:
+    return as_effect(handle(Effect.trusted(np.outer(vec, vec.conj()))))
 
 
 def detect_perp(handle: MapHandle, dim: int) -> bool:
@@ -103,22 +102,18 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> Reconstructio
     eye = np.eye(dim, dtype=complex)
     probes_used: list[np.ndarray] = []
 
-    def rank_one_image(vec: np.ndarray) -> np.ndarray:
+    def rank_one_image(vec: np.ndarray) -> Effect:
         probes_used.append(vec)
         image = _probe(handle, vec)
-        w = np.linalg.eigvalsh(image)
+        w = image.eig.eigenvalues
         dev = max(float(np.max(np.abs(w[:-1]))), abs(float(w[-1]) - 1.0))
         if dev > tol:
             raise NonProjectionImage(
                 f"probe image spectrum is {dev:.3g} away from {{0, 1}}")
         return image
 
-    columns = []
-    for j in range(dim):
-        image = rank_one_image(eye[:, j])
-        w, v = np.linalg.eigh(image)
-        columns.append(v[:, -1])
-    u = np.stack(columns, axis=1)
+    u = np.stack([rank_one_image(eye[:, j]).eig.eigenvectors[:, -1]
+                  for j in range(dim)], axis=1)
 
     gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if gram_dev > max(tol, 1e-7):
@@ -130,7 +125,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> Reconstructio
     # e^{i(theta_j - theta_1)}/2 under the true map.
     for j in range(1, dim):
         vec = (eye[:, 0] + eye[:, j]) / np.sqrt(2.0)
-        image = rank_one_image(vec)
+        image = rank_one_image(vec).matrix
         z = complex(u[:, 0].conj() @ image @ u[:, j])
         if abs(z) < 0.1:
             raise PhaseFitFailure(
@@ -140,7 +135,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> Reconstructio
     # With phases aligned, the complex probe's cross element is -i/2 for a
     # unitary map and +i/2 for an antiunitary one.
     vec = (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2.0)
-    image = rank_one_image(vec)
+    image = rank_one_image(vec).matrix
     z = complex(u[:, 0].conj() @ image @ u[:, 1])
     if abs(z.imag) < 0.1:
         raise PhaseFitFailure(

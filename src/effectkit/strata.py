@@ -4,15 +4,16 @@ The pair (p, q) records how many eigenvalues sit at 1 and at 0; everything
 else is interior.  Effects with the same (p, q) form one stratum, and every
 member is unitarily equivalent to a block diagonal Diag(I_p, B, 0_q) with B
 strictly between 0 and I on the interior block.
+
+classify, is_scalar, is_projection and canonical_form are the package's
+spectral predicates.  Each reads the effect's cached eigendecomposition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import Effect, as_effect, eig
-
-CLASSIFY_TOL = 1e-7
+from .hermitian import CLASSIFY_TOL, Effect, as_effect
 
 
 def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
@@ -22,26 +23,21 @@ def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
     generated data the interior margin is four orders of magnitude wider than
     the default tolerance, so classification is stable.
     """
-    e = as_effect(a)
-    w = np.linalg.eigvalsh(e.matrix)
-    p = int(np.sum(w >= 1.0 - tol))
-    q = int(np.sum(w <= tol))
-    return p, q
+    w = as_effect(a).eig.eigenvalues
+    return int(np.count_nonzero(w >= 1.0 - tol)), int(np.count_nonzero(w <= tol))
 
 
 def is_scalar(a, tol: float = CLASSIFY_TOL) -> tuple[bool, float]:
     """Whether A = tI, and the scalar t (mean eigenvalue) if so."""
-    e = as_effect(a)
-    w = np.linalg.eigvalsh(e.matrix)
-    t = float(np.mean(w))
-    return bool(w[-1] - w[0] <= tol), t
+    w = as_effect(a).eig.eigenvalues
+    # w.sum() / w.size is np.mean(w) bit for bit, at a third of its cost.
+    return bool(w[-1] - w[0] <= tol), float(w.sum() / w.size)
 
 
 def is_projection(a, tol: float = CLASSIFY_TOL) -> bool:
     """Whether every eigenvalue of A is within tol of 0 or 1."""
-    e = as_effect(a)
-    w = np.linalg.eigvalsh(e.matrix)
-    return bool(np.all((w <= tol) | (w >= 1.0 - tol)))
+    w = as_effect(a).eig.eigenvalues
+    return bool(((w <= tol) | (w >= 1.0 - tol)).all())
 
 
 def canonical_form(a, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, Effect]:
@@ -51,11 +47,10 @@ def canonical_form(a, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, Effect]:
     and the kernel block last; endpoint eigenvalues within tol are snapped
     exactly onto 0 or 1.  Returns (V, D) with D an Effect.
     """
-    e = as_effect(a)
-    w, u = eig(e.matrix)
+    w, u = as_effect(a).eig
     # eigh sorts ascending; flip to put the eigenvalue-1 block on top.
     w = w[::-1]
-    v = u[:, ::-1]
+    v = u[:, ::-1].copy()
     snapped = np.where(w >= 1.0 - tol, 1.0, np.where(w <= tol, 0.0, w))
     d = Effect.trusted(np.diag(snapped).astype(complex))
     return v, d

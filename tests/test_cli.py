@@ -163,12 +163,22 @@ def test_non_effect_matrix_exits_66(tmp_path, capsys):
     assert code == 66
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(effects, tmp_path, capsys):
     assert main([]) == 64
     assert main(["bogus"]) == 64
     assert main(["check", "only-one-arg"]) == 64
     assert main(["harness", "--dims", "1,2"]) == 64
     assert main(["harness", "--suites", "nope"]) == 64
+    pa, pb = (str(path) for path in effects)
+    for flags in (["--max-cycles", "0"], ["--feas-tol", "nan"]):
+        assert main(["check", pa, pb, *flags]) == 64
+        assert main(["harness", "--dims", "2", "--trials", "1", *flags]) == 64
+    proj = tmp_path / "proj.mat"
+    write_matrix(proj, random_projection(2, 1, seed=3))
+    for tol in ("nan", "-1", "inf"):
+        assert main(["--tol", tol, "stratify", str(proj)]) == 64
+        assert main(["--tol", tol, "check", pa, pb]) == 64
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

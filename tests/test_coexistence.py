@@ -311,6 +311,24 @@ def test_verifiers_fail_closed_on_non_finite_witnesses():
                 efg_to_mn(w, w, w, a, b)
 
 
+def test_verifiers_fail_closed_on_wrongly_shaped_witnesses():
+    a = random_effect(3, seed=13)
+    b = orthocomplement(a)
+    for w in (np.zeros((2, 2)), np.zeros((1, 1)), np.zeros(3), np.zeros(1)):
+        assert not verify_mn(a, b, w, w)
+        assert not verify_efg(a, b, w, w, w)
+        with pytest.raises(InvalidCertificate) as err:
+            mn_to_efg(w, w, a, b)
+        assert np.isnan(err.value.margin)
+        with pytest.raises(InvalidCertificate):
+            efg_to_mn(w, w, w, a, b)
+    # A and B must agree with each other, and A must be square.
+    z = np.zeros((3, 3))
+    assert not verify_mn(a, random_effect(2, seed=14), z, z)
+    assert not verify_efg(a, random_effect(2, seed=14), z, z, z)
+    assert not verify_mn(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+
+
 def test_decide_rejects_non_finite_input():
     for dim in (2, 3):
         bad = np.diag([np.nan] + [0.5] * (dim - 1))

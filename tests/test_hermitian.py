@@ -193,6 +193,49 @@ def test_effect_matrix_is_read_only():
         e.matrix[0, 0] = 9.0
 
 
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_effect_carries_its_eigendecomposition():
+    m = random_effect(4, seed=7).matrix.copy()
+    e = Effect(m)
+    w, v = np.linalg.eigh(m)
+    assert _same_bytes(e.eig.eigenvalues, w) and _same_bytes(e.eig.eigenvectors, v)
+    assert not e.eig.eigenvalues.flags.writeable
+    assert not e.eig.eigenvectors.flags.writeable
+    assert e.eig is e.eig
+    with pytest.raises(ValueError):
+        e.eig.eigenvalues[0] = 0.5
+
+
+def test_clamped_effect_decomposes_its_stored_matrix():
+    u = random_unitary(3, seed=8)
+    m = (u * np.array([-5e-10, 0.5, 1.0 + 5e-10])) @ u.conj().T
+    for e in (Effect((m + m.conj().T) / 2.0), clamped_effect(m)):
+        w, v = np.linalg.eigh(e.matrix)
+        assert _same_bytes(e.eig.eigenvalues, w) and _same_bytes(e.eig.eigenvectors, v)
+        assert not e.eig.eigenvectors.flags.writeable
+
+
+def test_trusted_effect_decomposes_once_on_first_use(monkeypatch):
+    m = random_effect(3, seed=9).matrix
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(x, *args, **kwargs):
+        calls.append(x)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    e = Effect.trusted(m)
+    assert calls == []
+    first = e.eig
+    assert e.eig is first and len(calls) == 1
+    w, v = eigh(m)
+    assert _same_bytes(first.eigenvalues, w) and _same_bytes(first.eigenvectors, v)
+
+
 def test_clamped_effect_never_raises():
     e = clamped_effect(np.diag([1.7, -0.4]).astype(complex))
     assert np.allclose(spectrum(e), [0.0, 1.0], atol=1e-14)
