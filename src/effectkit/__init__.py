@@ -33,6 +33,7 @@ from .hermitian import (
     random_projection,
     random_unitary,
     require_hermitian,
+    require_tolerance,
     require_unitary,
     spectrum,
     sqrt_psd,

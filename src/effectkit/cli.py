@@ -9,13 +9,12 @@ internal failures.  The check subcommand encodes its verdict as 0
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import traceback
 
 from .coexistence import SolverConfig, Verdict, decide, mn_to_efg
 from .harness import SUITE_NAMES, HarnessConfig, run_all, write_report
-from .hermitian import NotHermitian, SpectrumOutOfRange, as_effect
+from .hermitian import NotHermitian, SpectrumOutOfRange, as_effect, require_tolerance
 from .matrixio import (
     FileFormatError,
     dumps_document,
@@ -68,12 +67,10 @@ def _solver_config(args) -> SolverConfig:
 def _tolerance(text: str) -> float:
     """Value of --tol: a finite number >= 0."""
     try:
-        value = float(text)
+        return require_tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}") from None
 
 
 def _tol_kwargs(args) -> dict:

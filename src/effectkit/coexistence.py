@@ -26,6 +26,7 @@ from .hermitian import (
     clamped_effect,
     direct_sum,
     random_effect,
+    require_tolerance,
     sqrt_psd,
     _eigvalsh_lo,
     _lapack_checked,
@@ -158,6 +159,7 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
     witness.  Rules 1, 2 and 4 read the effects' cached eigendecompositions
     through the strata predicates; tol governs only rule 4's peak test.
     """
+    require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
@@ -366,6 +368,7 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     put into a canonical order first; this makes decide(A, B) and
     decide(B, A) return identical verdicts, residuals and cycle counts.
     """
+    require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
@@ -565,8 +568,7 @@ def interior_perturbation(a, b, eps: float) -> np.ndarray:
     [delta, 1 - delta], and maps back; delta is chosen so the output moves
     by less than eps in operator norm while both C and A - C stay invertible.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_tolerance(eps, "eps", positive=True)
     am, bm = as_matrix(a), as_matrix(b)
     w, v = np.linalg.eigh((am + am.conj().T) / 2.0)
     if w[0] < DETECTION_TOL:

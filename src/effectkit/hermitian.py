@@ -9,17 +9,20 @@ values can be shared freely.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# The LAPACK Hermitian eigensolver gufuncs that np.linalg.eigh and
-# np.linalg.eigvalsh dispatch to.  Their wrappers add about 5 us per call,
-# as much as LAPACK's own work at n = 3 to 5, so the solver's hot loop calls
-# the gufuncs directly.  This is private numpy API, checked on numpy 2.4.6
-# only.
+# The LAPACK gufuncs that np.linalg.eigh, np.linalg.eigvalsh and
+# np.linalg.qr dispatch to.  Their wrappers add about 5 us per call, as much
+# as LAPACK's own work at n = 3 to 5, so the solver's hot loop and the Haar
+# draws call the gufuncs directly.  This is private numpy API, checked on
+# numpy 2.4.6 only; tests/test_hermitian.py compares each with its wrapper.
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
+from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 # Tolerance ladder, tightest rung first: every spectral and exact-rule
 # detection threshold in the package.  Callers can override per call.
@@ -36,6 +39,19 @@ CLASSIFY_TOL = 1e-7         # strata predicates' default (classify, is_scalar,
 # Randomly generated effects keep interior eigenvalues at least this far from
 # 0 and 1, so classifying generated data is never a coin flip.
 INTERIOR_MARGIN = 1e-3
+
+
+def require_tolerance(value: float, name: str = "tol", positive: bool = False) -> float:
+    """Return a caller's tolerance if it is finite and >= 0 (> 0 if positive).
+
+    Every public function that takes a tolerance from its caller checks it
+    here first: a NaN tolerance makes every ``dev > tol`` test False, and a
+    negative one inverts order tests.
+    """
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return value
 
 
 class NotHermitian(ValueError):
@@ -234,6 +250,7 @@ def loewner_leq(a, b, tol: float = ORDER_TOL) -> bool:
 
     True iff the smallest eigenvalue of B - A is at least -tol.
     """
+    require_tolerance(tol)
     d = as_matrix(b) - as_matrix(a)
     d = require_hermitian(d, tol=np.inf)  # difference of Hermitians; no check
     return bool(np.linalg.eigvalsh(d)[0] >= -tol)
@@ -241,6 +258,7 @@ def loewner_leq(a, b, tol: float = ORDER_TOL) -> bool:
 
 def strictly_less(a, b, tol: float = ORDER_TOL) -> bool:
     """Whether B - A is positive definite with margin strictly above tol."""
+    require_tolerance(tol)
     d = as_matrix(b) - as_matrix(a)
     d = require_hermitian(d, tol=np.inf)  # difference of Hermitians; no check
     return bool(np.linalg.eigvalsh(d)[0] > tol)
@@ -325,17 +343,28 @@ def direct_sum(blocks: Sequence) -> np.ndarray:
     return out
 
 
+def _conjugate(m: np.ndarray, u: np.ndarray) -> Effect:
+    """U M U*, symmetrised, wrapped unchecked.
+
+    The caller vouches that M is an effect and U is unitary: conjugate
+    checks both on every call, a map spec checks its unitary once when it
+    is built.
+    """
+    out = u @ m @ u.conj().T
+    return Effect.trusted((out + out.conj().T) / 2.0)
+
+
 def conjugate(a, unitary, transpose: bool = False) -> Effect:
     """Map A to U A U* (optionally transposing A first).
 
     The transpose-then-conjugate form gives the antiunitary counterpart of
-    the same symmetry.  The unitary is checked to 1e-10.
+    the same symmetry.  A is validated as an effect and the unitary is
+    checked to 1e-10 on every call; map specs hold a vetted unitary and
+    skip the re-check.
     """
     e = as_effect(a)
     u = require_unitary(unitary)
-    m = e.matrix.T if transpose else e.matrix
-    out = u @ m @ u.conj().T
-    return Effect.trusted((out + out.conj().T) / 2.0)
+    return _conjugate(e.matrix.T if transpose else e.matrix, u)
 
 
 def require_unitary(u, tol: float = 1e-10) -> np.ndarray:
@@ -353,16 +382,27 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError(
+        "Incorrect argument found while performing QR factorization")
+
+
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R factor's diagonal phases are divided out, which is what makes the
-    distribution Haar rather than merely orthogonally invariant.
+    distribution Haar rather than merely orthogonally invariant.  The QR is
+    the one np.linalg.qr runs, called without its wrapper: the Gaussian
+    matrix is factored in place and R's diagonal read from it.  The result
+    is unitary by construction and is not checked again.
     """
     rng = _rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    with np.errstate(call=_raise_qr_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _qr_r_raw(z, signature="D->D")
+        q = _qr_reduced(z, tau, signature="DD->D")
+    d = np.diagonal(z)
     return q * (d / np.abs(d))
 
 

@@ -19,13 +19,13 @@ from .hermitian import (
     Effect,
     as_effect,
     clamped_effect,
-    conjugate,
     direct_sum,
     operator_norm,
     orthocomplement,
     random_unitary,
     require_unitary,
     trace,
+    _conjugate,
     _rng,
 )
 from .strata import is_scalar
@@ -35,14 +35,20 @@ GRID_NODES = 1025  # value table of g on {k/1024 : k = 0..1024}
 
 @dataclass(frozen=True)
 class StandardAutomorphismSpec:
-    """A -> U A U* (transposing A first when antiunitary), then optional perp."""
+    """A -> U A U* (transposing A first when antiunitary), then optional perp.
+
+    The unitary is validated once, here: the spec keeps a read-only copy of
+    it, so the caller's array stays writable and later changes to it cannot
+    reach the spec.  apply_standard trusts that copy and does not check it
+    again.
+    """
 
     unitary: np.ndarray
     transpose: bool = False
     perp: bool = False
 
     def __post_init__(self):
-        u = require_unitary(self.unitary)
+        u = require_unitary(np.array(self.unitary, dtype=complex))
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 
@@ -52,7 +58,8 @@ class StandardAutomorphismSpec:
 
 
 def apply_standard(spec: StandardAutomorphismSpec, a) -> Effect:
-    out = conjugate(a, spec.unitary, transpose=spec.transpose)
+    m = as_effect(a).matrix
+    out = _conjugate(m.T if spec.transpose else m, spec.unitary)
     if spec.perp:
         out = orthocomplement(out)
     return out
@@ -248,6 +255,11 @@ class GesBijectiveSpec:
     the map a plain conjugation.  Scalars tI go to g(t)I for a bijection g
     of [0, 1] held as a value table over a grid of step 1/1024 (inputs are
     snapped to the nearest node).
+
+    The unitary and the grid are validated once, here: the spec keeps
+    read-only copies of both, so the caller's arrays stay writable and later
+    changes to them cannot reach the spec.  apply_ges_bijective trusts the
+    copies and does not check them again.
     """
 
     unitary: np.ndarray
@@ -256,10 +268,10 @@ class GesBijectiveSpec:
     selector: str = "hash"
 
     def __post_init__(self):
-        u = require_unitary(self.unitary)
+        u = require_unitary(np.array(self.unitary, dtype=complex))
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
-        g = np.asarray(self.grid, dtype=float).reshape(-1)
+        g = np.array(self.grid, dtype=float).reshape(-1)
         if g.shape[0] != GRID_NODES:
             raise ValueError(f"grid must hold {GRID_NODES} values")
         if np.any(g < 0.0) or np.any(g > 1.0) or len(np.unique(g)) != GRID_NODES:
@@ -316,7 +328,7 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
             bp = np.ascontiguousarray(np.round(pm.view(float), 6)).tobytes()
             canonical = am if ba <= bp else pm
         flip = bool(_pair_bit(spec, canonical))
-    return conjugate(Effect.trusted(pm if flip else am), spec.unitary)
+    return _conjugate(pm if flip else am, spec.unitary)
 
 
 # ---------------------------------------------------------------------------

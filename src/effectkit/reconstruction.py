@@ -14,7 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import Effect, as_effect, orthocomplement, random_effect, _rng
+from .hermitian import (
+    Effect,
+    as_effect,
+    orthocomplement,
+    random_effect,
+    require_tolerance,
+    _rng,
+)
 from .preservers import StandardAutomorphismSpec, apply_standard
 
 # An evaluation capability for a fixed-dimension map on effects.
@@ -92,6 +99,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> Reconstructio
     and gauged so the first non-negligible entry of column one is real
     positive.
     """
+    require_tolerance(tol)
     if dim < 2:
         raise ValueError("need dimension at least 2")
     perp = detect_perp(handle, dim)

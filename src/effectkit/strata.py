@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import CLASSIFY_TOL, Effect, as_effect
+from .hermitian import CLASSIFY_TOL, Effect, as_effect, require_tolerance
 
 
 def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
@@ -23,12 +23,14 @@ def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
     generated data the interior margin is four orders of magnitude wider than
     the default tolerance, so classification is stable.
     """
+    require_tolerance(tol)
     w = as_effect(a).eig.eigenvalues
     return int(np.count_nonzero(w >= 1.0 - tol)), int(np.count_nonzero(w <= tol))
 
 
 def is_scalar(a, tol: float = CLASSIFY_TOL) -> tuple[bool, float]:
     """Whether A = tI, and the scalar t (mean eigenvalue) if so."""
+    require_tolerance(tol)
     w = as_effect(a).eig.eigenvalues
     # w.sum() / w.size is np.mean(w) bit for bit, at a third of its cost.
     return bool(w[-1] - w[0] <= tol), float(w.sum() / w.size)
@@ -36,6 +38,7 @@ def is_scalar(a, tol: float = CLASSIFY_TOL) -> tuple[bool, float]:
 
 def is_projection(a, tol: float = CLASSIFY_TOL) -> bool:
     """Whether every eigenvalue of A is within tol of 0 or 1."""
+    require_tolerance(tol)
     w = as_effect(a).eig.eigenvalues
     return bool(((w <= tol) | (w >= 1.0 - tol)).all())
 
@@ -47,6 +50,7 @@ def canonical_form(a, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, Effect]:
     and the kernel block last; endpoint eigenvalues within tol are snapped
     exactly onto 0 or 1.  Returns (V, D) with D an Effect.
     """
+    require_tolerance(tol)
     w, u = as_effect(a).eig
     # eigh sorts ascending; flip to put the eigenvalue-1 block on top.
     w = w[::-1]

@@ -438,8 +438,9 @@ def test_interior_perturbation_rejects_bad_inputs():
         interior_perturbation(np.eye(2), 2.0 * np.eye(2), 0.1)   # B above A
     with pytest.raises(ValueError):
         interior_perturbation(np.diag([1.0, 0.0]), np.zeros((2, 2)), 0.1)  # singular A
-    with pytest.raises(ValueError):
-        interior_perturbation(np.eye(2), np.zeros((2, 2)), 0.0)  # eps not positive
+    for eps in (0.0, -0.1, float("nan"), float("inf")):  # eps not finite and > 0
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            interior_perturbation(np.eye(2), np.zeros((2, 2)), eps)
 
 
 def test_verdict_dataclass_shape():

@@ -401,6 +401,36 @@ def test_random_unitary_contract():
     require_unitary(ua)
 
 
+def test_random_unitary_is_the_qr_wrapper_formula_bit_for_bit():
+    for d in range(1, 9):
+        for s in range(200):
+            rng, ref_rng = np.random.default_rng(s), np.random.default_rng(s)
+            z = ref_rng.standard_normal((d, d)) + 1j * ref_rng.standard_normal((d, d))
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r)
+            assert random_unitary(d, rng).tobytes() == (q * (diag / np.abs(diag))).tobytes()
+            assert rng.random() == ref_rng.random()
+
+
+def test_private_lapack_gufuncs_match_their_wrappers():
+    # The package calls these private numpy gufuncs directly; a numpy whose
+    # wrappers stop calling them the same way fails here.
+    rng = np.random.default_rng(37)
+    for n in range(2, 9):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (g + g.conj().T) / 2.0
+        w, v = hermitian._eigh_lo(h)
+        w_ref, v_ref = np.linalg.eigh(h)
+        assert (w.tobytes(), v.tobytes()) == (w_ref.tobytes(), v_ref.tobytes())
+        assert hermitian._eigvalsh_lo(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        factored = g.copy()
+        tau = hermitian._qr_r_raw(factored, signature="D->D")
+        q = hermitian._qr_reduced(factored, tau, signature="DD->D")
+        q_ref, r_ref = np.linalg.qr(g)
+        assert q.tobytes() == q_ref.tobytes()
+        assert np.triu(factored).tobytes() == r_ref.tobytes()
+
+
 def test_random_effect_strata_pinning():
     full = random_effect(3, stratum=(3, 0), seed=1)
     assert np.allclose(as_matrix(full), np.eye(3), atol=1e-12)

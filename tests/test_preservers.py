@@ -5,6 +5,7 @@ from effectkit.coexistence import Verdict, decide, decide_blockwise, sample_coex
 from effectkit.hermitian import (
     Effect,
     as_matrix,
+    conjugate,
     identity_effect,
     orthocomplement,
     random_effect,
@@ -291,3 +292,52 @@ def test_spec_document_round_trip(maker):
     handle_b = preserver_handle(back)
     a = random_effect(3, seed=23)
     assert np.allclose(as_matrix(handle_a(a)), as_matrix(handle_b(a)), atol=1e-15)
+
+
+@pytest.mark.parametrize("make, apply", [
+    (lambda u, grid: StandardAutomorphismSpec(u), apply_standard),
+    (GesBijectiveSpec, apply_ges_bijective),
+], ids=["standard", "ges"])
+def test_specs_own_read_only_copies_of_their_arrays(make, apply):
+    u = random_unitary(3, np.random.default_rng(50))
+    grid = np.linspace(0.0, 1.0, 1025)
+    spec = make(u, grid)
+    inputs = (random_effect(3, seed=51), Effect(0.25 * np.eye(3)))
+    before = [as_matrix(apply(spec, x)).copy() for x in inputs]
+    kept = u.copy()
+
+    assert u.flags.writeable and grid.flags.writeable
+    assert not spec.unitary.flags.writeable
+    u[:] = 2.0 * np.eye(3)
+    grid[:] = grid[::-1]
+    assert np.array_equal(spec.unitary, kept)
+    for x, image in zip(inputs, before):
+        assert np.array_equal(as_matrix(apply(spec, x)), image)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("perp", [False, True])
+def test_apply_standard_is_the_checked_conjugation_bit_for_bit(transpose, perp):
+    spec = random_standard_spec(4, seed=52, transpose=transpose, perp=perp)
+    for s in range(10):
+        a = random_effect(4, seed=1300 + s)
+        want = conjugate(a, spec.unitary, spec.transpose)
+        if spec.perp:
+            want = orthocomplement(want)
+        assert as_matrix(apply_standard(spec, a)).tobytes() == as_matrix(want).tobytes()
+
+
+@pytest.mark.parametrize("selector", ["hash", "first"])
+def test_ges_images_are_the_checked_conjugations_bit_for_bit(selector):
+    base = random_ges_spec(4, seed=53)
+    spec = GesBijectiveSpec(base.unitary, base.grid, base.selector_seed, selector)
+    routes = set()
+    for s in range(20):
+        a = random_effect(4, seed=1400 + s)
+        straight = as_matrix(conjugate(a, spec.unitary)).tobytes()
+        crossed = as_matrix(conjugate(Effect.trusted(np.eye(4) - as_matrix(a)),
+                                      spec.unitary)).tobytes()
+        image = as_matrix(apply_ges_bijective(spec, a)).tobytes()
+        assert image in (straight, crossed)
+        routes.add(image == straight)
+    assert routes == ({True, False} if selector == "hash" else {True})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from effectkit import hermitian, preservers
 from effectkit.hermitian import (
     Effect,
     as_matrix,
@@ -158,3 +159,26 @@ def test_result_spec_property():
     a = random_effect(3, seed=47)
     assert np.linalg.norm(as_matrix(rebuilt(a))
                           - as_matrix(preserver_handle(spec)(a))) <= 1e-10
+
+
+def test_map_specs_check_their_unitary_once(monkeypatch):
+    # Each spec validates its unitary when it is built; evaluating the map
+    # does not validate it again.
+    calls = []
+    real = hermitian.require_unitary
+
+    def counting(u, *args, **kwargs):
+        calls.append(1)
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(hermitian, "require_unitary", counting)
+    monkeypatch.setattr(preservers, "require_unitary", counting)
+    handle = preserver_handle(random_standard_spec(4, seed=60, transpose=True, perp=True))
+    fit = reconstruct(handle, 4)
+    assert verify_reconstruction(handle, fit, 20, seed=61) <= 1e-10
+    # the map's spec, the fitted spec and the spec verify rebuilds from the fit
+    assert len(calls) <= 3
+    with pytest.raises(ValueError, match="not unitary"):
+        StandardAutomorphismSpec(np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError, match="not unitary"):
+        hermitian.conjugate(random_effect(2, seed=62), np.diag([2.0, 1.0]))

@@ -4,8 +4,12 @@ Effects are built with eigenvalues at half and at twice the DETECTION_TOL
 (1e-9) and CLASSIFY_TOL (1e-7) rungs from 0 and 1, so each predicate's
 answer is fixed by the documented threshold with a margin far above
 rounding.  fast_path and the strata predicates must read each effect's
-cached eigendecomposition instead of decomposing it again.
+cached eigendecomposition instead of decomposing it again.  Every public
+function that takes a tolerance from its caller rejects a NaN, infinite or
+negative one.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +22,15 @@ from effectkit.hermitian import (
     DETECTION_TOL,
     ORDER_TOL,
     Effect,
+    loewner_leq,
     random_effect,
     random_unitary,
+    require_hermitian,
+    require_tolerance,
+    strictly_less,
 )
+from effectkit.preservers import preserver_handle, random_standard_spec
+from effectkit.reconstruction import reconstruct
 from effectkit.strata import canonical_form, classify, is_projection, is_scalar
 
 OFFSETS = (0.0, 0.5 * DETECTION_TOL, 2.0 * DETECTION_TOL,
@@ -192,3 +202,47 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
         is_projection(e)
         canonical_form(e)
     assert decomposed == []
+
+
+def _rank_one_pair():
+    """Rank-one effects at 45 degrees whose sum peaks at 0.9: Coexistent."""
+    turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    peak = 0.9 / (1.0 + np.sqrt(0.5))
+    a = Effect(np.diag([peak, 0.0]))
+    return a, Effect(turn @ a.matrix @ turn.T)
+
+
+_TOL_TAKERS = {
+    "decide": lambda a, b, tol: decide(a, b, tol=tol),
+    "fast_path": lambda a, b, tol: fast_path(a, b, tol=tol),
+    "classify": lambda a, b, tol: classify(a, tol),
+    "is_scalar": lambda a, b, tol: is_scalar(a, tol),
+    "is_projection": lambda a, b, tol: is_projection(a, tol),
+    "canonical_form": lambda a, b, tol: canonical_form(a, tol),
+    "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol),
+    "strictly_less": lambda a, b, tol: strictly_less(a, b, tol),
+    "reconstruct": lambda a, b, tol: reconstruct(
+        preserver_handle(random_standard_spec(2, seed=31)), 2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+def test_public_functions_reject_a_bad_tolerance(name, tol):
+    a, b = _rank_one_pair()
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        _TOL_TAKERS[name](a, b, tol)
+
+
+def test_good_tolerances_pass_and_inf_stays_internal():
+    a, b = _rank_one_pair()
+    res = decide(a, b)
+    assert res.verdict == Verdict.COEXISTENT and res.reason == Reason.RANK_ONE_RULE
+    for tol in (0.0, 0, 1e-300, ORDER_TOL, 1.0):
+        assert require_tolerance(tol) == tol
+        assert decide(a, b, tol=tol).verdict == Verdict.COEXISTENT
+    assert classify(a, 0.0) == (0, 1)
+    # The order predicates skip require_hermitian's check with tol=inf.
+    assert require_hermitian(b.matrix - a.matrix, tol=math.inf).shape == (2, 2)
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        require_tolerance(0.0, "eps", positive=True)
