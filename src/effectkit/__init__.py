@@ -53,7 +53,6 @@ from .coexistence import (
     FEAS_TOL,
     MAX_CYCLES,
     SEP_TOL,
-    STALL_WINDOW,
     CoexistenceVerdict,
     InvalidCertificate,
     Reason,
@@ -66,6 +65,7 @@ from .coexistence import (
     interior_perturbation,
     mn_to_efg,
     sample_coexistent,
+    verify_dual,
     verify_efg,
     verify_mn,
 )

@@ -58,7 +58,6 @@ def _solver_config(args) -> SolverConfig:
             feas_tol=args.feas_tol,
             sep_tol=args.sep_tol,
             max_cycles=args.max_cycles,
-            stall_window=args.stall_window,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -80,13 +79,11 @@ def _tol_kwargs(args) -> dict:
 
 def _add_solver_flags(parser):
     parser.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol,
-                        help="residual below which the pair counts as feasible")
+                        help="residual below which a witness proves coexistence")
     parser.add_argument("--sep-tol", type=float, default=SolverConfig.sep_tol,
-                        help="stalled residual above which the pair counts as separated")
+                        help="a dual must prove the margin below -sep-tol")
     parser.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
-                        help="projection cycle budget")
-    parser.add_argument("--stall-window", type=int, default=SolverConfig.stall_window,
-                        help="trailing window for stall detection")
+                        help="Newton-step budget of the solver")
 
 
 def _cmd_check(args) -> int:

@@ -1,24 +1,35 @@
-"""Coexistence of pairs of effects: exact rules plus a feasibility solver.
+"""Coexistence of pairs of effects: exact rules plus a certified margin solver.
 
 Effects A and B coexist (are jointly measurable) exactly when B splits as
 M + N with 0 <= M <= A and 0 <= N <= I - A.  Substituting N = B - M turns
 this into membership of M in the intersection of four spectral order
-intervals, {M >= 0}, {M <= A}, {M <= B} and {M >= A+B-I}, which is decided
-with Dykstra's cyclic projection algorithm whenever no exact structural rule
-settles the pair first.
+intervals, {M >= 0}, {M <= A}, {M <= B} and {M >= K} with K = A + B - I.
+When no exact structural rule settles the pair, closed-form corner
+candidates are tried, and then a log-barrier method computes the margin
+
+    t* = max t  such that  M - tI, A - M - tI, B - M - tI, M - K - tI >= 0,
+
+the joint-measurability semidefinite program (Wolf, Perez-Garcia and
+Fernandez, PRL 103, 230402 (2009)).  The pair coexists exactly when
+t* >= 0.  Both definite answers of the solver carry a certificate that can
+be checked without trusting it: a witness M whose residual is below
+feas_tol, or a dual point (Z2, Z3, Z4) that verify_dual accepts, which
+proves t* < 0 by weak duality (Boyd and Vandenberghe, Convex Optimization,
+sections 5.8 and 11).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .hermitian import (
     DETECTION_TOL,
+    HERMITICITY_TOL,
     ORDER_TOL,
     Effect,
     as_effect,
@@ -28,44 +39,40 @@ from .hermitian import (
     random_effect,
     require_tolerance,
     sqrt_psd,
+    _eigh_lo,
     _eigvalsh_lo,
     _lapack_checked,
     _psd_kernel,
     _rng,
+    _solve1,
 )
 from .strata import classify, is_projection, is_scalar
 
 # Solver defaults.  feas_tol and sep_tol are deliberately separated by two
-# orders of magnitude: residuals landing between them are reported as
-# Indeterminate rather than rounded to a verdict.
+# orders of magnitude: a margin t* certified to lie between -sep_tol and
+# -feas_tol is reported as Indeterminate rather than rounded to a verdict.
+# max_cycles is the Newton-step budget: the acceptance streams take at most
+# 30 steps, and rank-one pairs whose sum peaks within 1e-7 to 1e-2 of 1 at
+# most 69.
 FEAS_TOL = 1e-7
 SEP_TOL = 1e-5
-MAX_CYCLES = 20000
-STALL_WINDOW = 50
+MAX_CYCLES = 200
 
 # Certificates are checked at a looser tolerance than the solver works to,
 # leaving room for the eigenvalue clamp applied when packaging witnesses.
 CERT_TOL = 1e-6
 
-# Stall detection for the infeasible branch.  On an empty intersection the
-# Dykstra iterate does not converge; its correction terms grow without bound,
-# so a literal fixed-point test alone can fail to fire within the cycle
-# budget.  Three triggers, evaluated over the trailing stall_window cycles:
-#   - displacement: every per-cycle movement below 1e-12 (a true fixed point);
-#   - plateau: the residual band is flat to a relative 1e-5 while movement
-#     stays below 1e-4 (the iterate orbits a limit cycle around the gap);
-#   - drift: total correction magnitude grows linearly, with equal increments
-#     over three consecutive windows and a per-cycle rate of at least 1e-6
-#     (on feasible problems the corrections converge instead of drifting).
-_STALL_DISP = 1e-12
-_PLATEAU_REL = 1e-5
-_PLATEAU_DISP_CAP = 1e-4
-_DRIFT_RATIO = 1.002
-_DRIFT_FLOOR = 1e-6
+# Barrier path: the weight s on the margin grows by _PATH_FACTOR whenever the
+# Newton decrement at the current iterate is below _CENTRED, that is when the
+# iterate is close enough to the central point of the current s.  A line
+# search step shorter than _MIN_STEP counts as numerical failure.
+_PATH_FACTOR = 20.0
+_CENTRED = 0.5
+_MIN_STEP = 1e-10
 
 # Once the residual drops below feas_tol the iterate is refined with plain
-# cyclic projections (no corrections), which sharpens the witness by a few
-# more orders of magnitude at negligible cost.
+# cyclic projections, which sharpens the witness by a few more orders of
+# magnitude at negligible cost.
 _POLISH_TARGET = 1e-10
 _POLISH_CYCLES = 200
 
@@ -90,22 +97,32 @@ class SolverConfig:
     feas_tol: float = FEAS_TOL
     sep_tol: float = SEP_TOL
     max_cycles: int = MAX_CYCLES
-    stall_window: int = STALL_WINDOW
 
     def __post_init__(self):
         if not 0.0 < self.feas_tol < self.sep_tol:
             raise ValueError("need 0 < feas_tol < sep_tol")
-        if self.max_cycles < 1 or self.stall_window < 1:
-            raise ValueError("cycle counts must be positive")
+        if self.max_cycles < 1:
+            raise ValueError("max_cycles must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoexistenceVerdict:
+    """How decide settled a pair.
+
+    ``iterations`` counts the solver's Newton steps plus the polishing
+    cycles that sharpen a witness (0 for the exact rules).  ``dual`` is the
+    solver's certificate (Z2, Z3, Z4) for verify_dual, normalised so that
+    the traces of Z1 = Z2 + Z3 - Z4, Z2, Z3 and Z4 sum to 1; it is None
+    unless the solver proved the pair NotCoexistent.
+    """
+
     verdict: Verdict
     reason: Reason
     witness: tuple[Effect, Effect] | None
     residual: float
     iterations: int
+    dual: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False)
 
     @property
     def coexistent(self) -> bool:
@@ -156,8 +173,9 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
     with exactly the effects it commutes with; (3) commuting effects coexist;
     (4) two rank-one effects with distinct images coexist exactly when their
     sum is still an effect.  Each positive verdict carries a closed-form
-    witness.  Rules 1, 2 and 4 read the effects' cached eigendecompositions
-    through the strata predicates; tol governs only rule 4's peak test.
+    witness.  Rules 1, 2 and 4 read the effects' cached eigenvalues through
+    the strata predicates, and rule 4 their top eigenvectors; tol governs
+    only rule 4's peak test.
     """
     require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
@@ -214,26 +232,7 @@ def _commuting_witness(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dykstra feasibility solver
-
-
-def _stalled(r_win, d_win, c_hist, window: int) -> bool:
-    if len(d_win) < window:
-        return False
-    if max(d_win) < _STALL_DISP:
-        return True
-    rmax = max(r_win)
-    if rmax - min(r_win) <= _PLATEAU_REL * rmax and max(d_win) <= _PLATEAU_DISP_CAP:
-        return True
-    if len(c_hist) == 3 * window + 1:
-        g1 = c_hist[-1] - c_hist[-window - 1]
-        g2 = c_hist[-window - 1] - c_hist[-2 * window - 1]
-        g3 = c_hist[-2 * window - 1] - c_hist[0]
-        lo = min(g1, g2, g3)
-        if lo > 0.0 and max(g1, g2, g3) <= _DRIFT_RATIO * lo \
-                and g1 / window >= _DRIFT_FLOOR:
-            return True
-    return False
+# Margin solver: corner candidates, then a log-barrier method
 
 
 # The four constraint matrices X, A - X, B - X and X - K of an iterate X are
@@ -245,20 +244,6 @@ def _residual(x, base) -> float:
     """Largest violation of the four constraints at x, or 0 if none."""
     lo = _eigvalsh_lo(base + _SIGNS * x).min()
     return max(0.0, float(-lo))
-
-
-def _norm(m: np.ndarray) -> float:
-    """np.linalg.norm(m) of a complex array, by numpy's own formula."""
-    m = m.ravel(order="K")
-    re, im = m.real, m.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _initial_iterate(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    eye = np.eye(am.shape[0])
-    mid = (am + bm - _psd_kernel(am + bm - eye)) / 2.0
-    w, v = np.linalg.eigh(mid)
-    return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
 
 
 def _corner_witness(am, bm, k, base, feas_tol):
@@ -296,59 +281,141 @@ def _polish(x, am, bm, k, base):
     return best, best_r, used
 
 
+@functools.cache
+def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and P*, where column k of P is the row-major vec of E_k.
+
+    E_1, ..., E_{n^2} is the orthonormal basis of the n x n Hermitian
+    matrices under tr(XY) made of the E_jj, (E_jk + E_kj)/sqrt 2 and
+    i(E_jk - E_kj)/sqrt 2.  P is unitary, vec(X) = P x for the real
+    coordinates x of X, and x = Re(P* vec(X)).
+    """
+    r = 1.0 / math.sqrt(2.0)
+    cols = []
+    for j in range(n):
+        for k in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            if j == k:
+                e[j, j] = 1.0
+            elif j < k:
+                e[j, k] = e[k, j] = r
+            else:
+                e[j, k], e[k, j] = 1j * r, -1j * r
+            cols.append(e.ravel())
+    p = np.stack(cols, axis=1)
+    ph = p.conj().T.copy()
+    p.flags.writeable = ph.flags.writeable = False
+    return p, ph
+
+
+def _barrier(am, bm, k, base, cfg: SolverConfig):
+    """Damped Newton steps along the central path of the margin problem.
+
+    Minimises -s t - sum_i log det S_i over (M, t), where S_i = C_i +
+    sigma_i M - tI are the four slacks (C = 0, A, B, -K; sigma = +1, -1,
+    -1, +1), for a weight s that grows by _PATH_FACTOR each time the
+    iterate is centred.  Every iterate is strictly feasible, so t is a
+    lower bound on the margin t*; at a centred iterate Z_i = S_i^-1 (and
+    Z1 := Z2 + Z3 - Z4) is nearly a dual point, whose value bounds t* from
+    above.  One stacked eigh of the slacks per iterate gives their
+    inverses and the line search's feasibility test.  The Hessian of the
+    log det terms is sum_i kron(W_i, W_i^T) in vec coordinates, projected
+    onto the Hermitian basis; with the t row it forms one real system of
+    size n^2 + 1.
+
+    Returns (verdict, M or None, residual, Newton steps, dual or None).
+    Runs under _lapack_checked, through _solve.
+    """
+    n = am.shape[0]
+    eye = np.eye(n)
+    p, ph = _hermitian_basis(n)
+    size = n * n + 1
+    m = (am + bm) / 4.0
+    t = _eigvalsh_lo(base + _SIGNS * m).min() - 1.0
+    s = None
+    dm, dt, step = np.zeros_like(m), 0.0, 0.0
+    steps = 0
+    while True:
+        # Line search: halve the step until every slack is positive definite.
+        w, v = _eigh_lo(base + _SIGNS * (m + step * dm) - (t + step * dt) * eye)
+        if not w.min() > 0.0:
+            step /= 2.0
+            if step < _MIN_STEP:
+                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+            continue
+        m, t = m + step * dm, t + step * dt
+        lower = w.min() + t  # the smallest eigenvalue of the C_i + sigma_i M
+
+        if lower > -cfg.feas_tol:
+            r = _residual(m, base)
+            if r < cfg.feas_tol:
+                x, r, extra = _polish(m, am, bm, k, base)
+                return Verdict.COEXISTENT, x, r, steps + extra, None
+
+        inv_w = 1.0 / w
+        vh = v.conj().swapaxes(1, 2)
+        wi = (v * inv_w[:, None, :]) @ vh  # W_i = S_i^-1
+        traces = inv_w.sum(axis=1)
+        norm = 2.0 * (traces[1] + traces[2])  # sum of tr Z_i, Z1 included
+        value = (np.vdot(wi[1], am).real + np.vdot(wi[2], bm).real
+                 - np.vdot(wi[3], k).real) / norm
+        if value < -cfg.feas_tol:
+            # The dual bound needs Z1 = W2 + W3 - W4, which can be indefinite.
+            z1_low = _eigvalsh_lo(wi[1] + wi[2] - wi[3])[0]
+            upper = value + n * max(0.0, -z1_low) / norm
+            if upper <= -cfg.sep_tol:
+                dual = wi[1:] / norm
+                dual.flags.writeable = False
+                if verify_dual(am, bm, *dual):
+                    return (Verdict.NOT_COEXISTENT, None, _residual(m, base),
+                            steps, tuple(dual))
+            elif lower > -cfg.sep_tol and upper < -cfg.feas_tol:
+                # t* lies between -sep_tol and -feas_tol: neither certificate
+                # can exist at these tolerances.
+                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+        if steps >= cfg.max_cycles:
+            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+
+        # Newton system in the coordinates (x, t) of (M, t).
+        wit = wi.swapaxes(1, 2)
+        kron = (wi[:, :, None, :, None] * wit[:, None, :, None, :]).sum(axis=0)
+        wsq = (v * (inv_w * inv_w)[:, None, :]) @ vh
+        mixed = (wsq[0] - wsq[1] - wsq[2] + wsq[3]).ravel()
+        hess = np.empty((size, size))
+        hess[:-1, :-1] = (ph @ kron.reshape(n * n, n * n) @ p).real
+        hess[:-1, -1] = hess[-1, :-1] = -(ph @ mixed).real
+        hess[-1, -1] = (inv_w * inv_w).sum()
+        grad = np.empty(size)
+        grad[:-1] = -(ph @ (wi[0] - wi[1] - wi[2] + wi[3]).ravel()).real
+        if s is None:
+            s = traces.sum()  # the start's gradient in t vanishes
+        while True:
+            grad[-1] = traces.sum() - s
+            delta = _solve1(hess, -grad, signature="dd->d")
+            decrement_sq = -grad @ delta
+            if not math.isfinite(decrement_sq):
+                raise np.linalg.LinAlgError("Newton system has no finite solution")
+            decrement = math.sqrt(max(0.0, decrement_sq))
+            if decrement >= _CENTRED:
+                break
+            s *= _PATH_FACTOR
+        dm = (p @ delta[:-1]).reshape(n, n)
+        dt = delta[-1]
+        step = 1.0 / (1.0 + decrement)
+        steps += 1
+
+
 @_lapack_checked()
-def _dykstra(am, bm, cfg: SolverConfig):
-    """Dykstra loop over the four order-interval sets."""
+def _solve(am, bm, cfg: SolverConfig):
+    """Corner candidates, then the barrier method, on one ordered pair."""
     n = am.shape[0]
     k = am + bm - np.eye(n)
     base = np.stack((np.zeros_like(k), am, bm, -k))
     corner = _corner_witness(am, bm, k, base, cfg.feas_tol)
     if corner is not None:
         x, r, extra = _polish(corner, am, bm, k, base)
-        return Verdict.COEXISTENT, x, r, extra
-    x = _initial_iterate(am, bm)
-    zero = np.zeros((n, n), dtype=complex)
-    p1, p2, p3, p4 = zero, zero, zero, zero
-
-    w = cfg.stall_window
-    r_win: deque = deque(maxlen=w)
-    d_win: deque = deque(maxlen=w)
-    c_hist: deque = deque(maxlen=3 * w + 1)
-
-    r = _residual(x, base)
-    for cycle in range(1, cfg.max_cycles + 1):
-        if r < cfg.feas_tol:
-            x, r, extra = _polish(x, am, bm, k, base)
-            return Verdict.COEXISTENT, x, r, cycle - 1 + extra
-
-        x_start = x
-        y = x + p1
-        x = _psd_kernel(y)
-        p1 = y - x
-        y = x + p2
-        x = am - _psd_kernel(am - y)
-        p2 = y - x
-        y = x + p3
-        x = bm - _psd_kernel(bm - y)
-        p3 = y - x
-        y = x + p4
-        x = k + _psd_kernel(y - k)
-        p4 = y - x
-
-        r = _residual(x, base)
-        r_win.append(r)
-        d_win.append(_norm(x - x_start))
-        c_hist.append(_norm(p1) + _norm(p2) + _norm(p3) + _norm(p4))
-
-        if _stalled(r_win, d_win, c_hist, w):
-            if r > cfg.sep_tol:
-                return Verdict.NOT_COEXISTENT, None, r, cycle
-            return Verdict.INDETERMINATE, None, r, cycle
-
-    if r < cfg.feas_tol:
-        x, r, extra = _polish(x, am, bm, k, base)
-        return Verdict.COEXISTENT, x, r, cfg.max_cycles + extra
-    return Verdict.INDETERMINATE, None, r, cfg.max_cycles
+        return Verdict.COEXISTENT, x, r, extra, None
+    return _barrier(am, bm, k, base, cfg)
 
 
 def _order_key(m: np.ndarray):
@@ -359,14 +426,17 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
            fast_paths: bool = True, tol: float = ORDER_TOL) -> CoexistenceVerdict:
     """Decide coexistence of two effects of equal dimension.
 
-    Exact fast paths are consulted first unless disabled.  The feasibility
-    solver returns Coexistent only with a witness pair (M, N); NotCoexistent
-    rests on the stall heuristics documented above, and anything in between
-    is reported as Indeterminate rather than guessed.
+    Exact fast paths are consulted first unless disabled.  The solver
+    returns Coexistent only with a witness pair (M, N), and NotCoexistent
+    only with a dual (Z2, Z3, Z4) that verify_dual accepts.  It reports
+    Indeterminate when it certifies that the margin t* lies between -sep_tol
+    and -feas_tol, where neither certificate can exist, when its Newton-step
+    budget cfg.max_cycles runs out, or when its line search cannot keep the
+    iterate strictly feasible.
 
     The solver's iteration path depends on argument order, so the pair is
     put into a canonical order first; this makes decide(A, B) and
-    decide(B, A) return identical verdicts, residuals and cycle counts.
+    decide(B, A) return identical verdicts, residuals and step counts.
     """
     require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
@@ -381,19 +451,24 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
             return hit
 
     first, second = ea.matrix, eb.matrix
-    if _order_key(second) < _order_key(first):
+    swapped = _order_key(second) < _order_key(first)
+    if swapped:
         first, second = second, first
 
-    verdict, m_raw, residual, cycles = _dykstra(first, second, cfg)
+    verdict, m_raw, residual, steps, dual = _solve(first, second, cfg)
 
     if verdict is Verdict.COEXISTENT:
         # A witness M for the solved orientation is also one for the caller's
         # orientation: M <= both effects and M >= A+B-I are symmetric in the
         # pair, and N is recomputed as B - M against the caller's B.
         return _coexistent(Reason.FEASIBILITY_SOLVER, m_raw,
-                           eb.matrix - m_raw, residual, cycles)
+                           eb.matrix - m_raw, residual, steps)
+    if dual is not None and swapped:
+        # Z2 pairs with the first effect and Z3 with the second; K is symmetric.
+        z2, z3, z4 = dual
+        dual = (z3, z2, z4)
     return CoexistenceVerdict(verdict, Reason.FEASIBILITY_SOLVER, None,
-                              float(residual), cycles)
+                              float(residual), steps, dual)
 
 
 def decide_blockwise(a_blocks, b_blocks, cfg: SolverConfig | None = None, *,
@@ -516,6 +591,64 @@ def efg_to_mn(e, f, g, a, b, tol: float = CERT_TOL):
     """
     _, _, _, fm, gm = _check_efg(a, b, e, f, g, tol)
     return gm, fm
+
+
+def _check_dual(a, b, z2, z3, z4, tol: float):
+    """Check that (Z2, Z3, Z4) proves that (A, B) do not coexist.
+
+    With Z1 := Z2 + Z3 - Z4, every M gives sum_i tr(Z_i S_i) = tr(Z2 A) +
+    tr(Z3 B) - tr(Z4 K), the value, for the slacks S_i of margin 0 (M,
+    A - M, B - M, M - K).  If M were a witness each S_i would be PSD with
+    trace at most n (1 + spill), spill being how far the spectra of A and
+    B leave [0, 1], so tr(Z_i S_i) >= -n (1 + spill) max(0, -lambda_min(Z_i))
+    and the value plus these penalties would be >= 0.  The check requires
+    (value + penalties) / sum_i tr Z_i < -tol.  For PSD Z_i this is the
+    weak-duality bound t* <= value / sum_i tr Z_i.  A and B must be
+    Hermitian to HERMITICITY_TOL; the Z_i are read as their Hermitian
+    parts.  Non-finite or wrongly shaped input fails with margin NaN.
+    """
+    am, bm, *zs = _check_shapes(("A", "B", "Z2", "Z3", "Z4"), (a, b, z2, z3, z4))
+    mats = np.stack((am, bm, *zs))
+    if not np.isfinite(mats).all():
+        raise InvalidCertificate("finite entries", math.nan)
+    # The check is invariant under scaling the Z_i; unit scale avoids overflow.
+    scale = float(np.abs(mats[2:]).max())
+    if not scale > 0.0:
+        raise InvalidCertificate("Z_i not all zero", 0.0)
+    mats[2:] /= scale
+    herm = mats / 2.0 + mats.conj().swapaxes(1, 2) / 2.0
+    for name, x in zip("AB", mats):
+        dev = float(np.abs(x - x.conj().T).max())
+        if not dev <= HERMITICITY_TOL:
+            raise InvalidCertificate(f"{name} Hermitian", dev)
+    am, bm, z2, z3, z4 = herm
+    dim = am.shape[0]
+    w = np.linalg.eigvalsh(np.stack((am, bm, z2 + z3 - z4, z2, z3, z4)))
+    spill = max(0.0, -w[:2, 0].min(), w[:2, -1].max() - 1.0)
+    penalty = dim * (1.0 + spill) * np.maximum(0.0, -w[2:, 0]).sum()
+    norm = 2.0 * float(np.trace(z2 + z3).real)
+    if not norm > 0.0:
+        raise InvalidCertificate("sum of tr Z_i > 0", norm)
+    k = am + bm - np.eye(dim)
+    value = np.vdot(z2, am).real + np.vdot(z3, bm).real - np.vdot(z4, k).real
+    bound = float((value + penalty) / norm)
+    if not bound < -tol:
+        raise InvalidCertificate(f"dual bound < -{tol:g}", bound + tol)
+
+
+def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
+    """Whether (Z2, Z3, Z4) proves that A and B do not coexist.
+
+    It does when the dual bound on the margin t* (see _check_dual) is below
+    -tol.  Fails closed: NaN, infinite or wrongly shaped parts, non-Hermitian
+    A or B, and the dual of a coexistent pair all give False.
+    """
+    require_tolerance(tol)
+    try:
+        _check_dual(a, b, z2, z3, z4, tol)
+    except InvalidCertificate:
+        return False
+    return True
 
 
 def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:

@@ -549,7 +549,6 @@ def config_document(cfg: HarnessConfig) -> dict:
             "feas_tol": cfg.solver.feas_tol,
             "sep_tol": cfg.solver.sep_tol,
             "max_cycles": cfg.solver.max_cycles,
-            "stall_window": cfg.solver.stall_window,
         },
         "suites": list(cfg.suites),
     }

@@ -14,15 +14,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# The LAPACK gufuncs that np.linalg.eigh, np.linalg.eigvalsh and
-# np.linalg.qr dispatch to.  Their wrappers add about 5 us per call, as much
-# as LAPACK's own work at n = 3 to 5, so the solver's hot loop and the Haar
-# draws call the gufuncs directly.  This is private numpy API, checked on
-# numpy 2.4.6 only; tests/test_hermitian.py compares each with its wrapper.
+# The LAPACK gufuncs that np.linalg.eigh, np.linalg.eigvalsh, np.linalg.solve
+# (with a vector right-hand side) and np.linalg.qr dispatch to.  Their
+# wrappers add about 5 us per call, as much as LAPACK's own work at n = 3 to
+# 5, so the solver's hot loop and the Haar draws call the gufuncs directly.
+# This is private numpy API, checked on numpy 2.4.6 only;
+# tests/test_hermitian.py compares each with its wrapper.
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
 from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 # Tolerance ladder, tightest rung first: every spectral and exact-rule
 # detection threshold in the package.  Callers can override per call.
@@ -130,14 +132,17 @@ class Effect:
     reconstruction), so effects built from honest data never carry -1e-15
     eigenvalue noise into later order comparisons.  Matrices whose spectrum
     is already inside [0, 1] are stored as given.  The array is marked
-    read-only.  The effect carries its eigendecomposition ``eig``
-    (np.linalg.eigh of the stored matrix, read-only): kept from validation
-    when the input is stored as given, else computed on first use.
+    read-only.  ``eigenvalues`` are the ascending eigenvalues of the stored
+    matrix (read-only): kept from validation when the input is stored as
+    given, else computed on first use.  ``eig``, the eigendecomposition
+    (np.linalg.eigh of the stored matrix, read-only), is computed on first
+    use; its eigenvalues have the bytes of ``eigenvalues``.
     """
 
-    __slots__ = ("_matrix", "_eig")
+    __slots__ = ("_matrix", "_eigenvalues", "_eig")
 
     def __init__(self, matrix, tol: float = EFFECT_SPECTRUM_TOL):
+        require_tolerance(tol)
         m = require_hermitian(matrix)
         w, v = np.linalg.eigh(m)
         if w[0] < -tol:
@@ -147,9 +152,12 @@ class Effect:
         clamped = w[0] < 0.0 or w[-1] > 1.0
         if clamped:
             m = _clipped(w, v)
+        else:
+            w.flags.writeable = False
         m.flags.writeable = False
         self._matrix = m
-        self._eig = None if clamped else _read_only(w, v)
+        self._eigenvalues = None if clamped else w
+        self._eig = None
 
     @classmethod
     def trusted(cls, matrix: np.ndarray) -> "Effect":
@@ -162,8 +170,15 @@ class Effect:
         m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         eff._matrix = m
-        eff._eig = None
+        eff._eigenvalues = eff._eig = None
         return eff
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the stored matrix, computed at most once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = self.eig.eigenvalues
+        return self._eigenvalues
 
     @property
     def eig(self) -> EigenDecomposition:
@@ -289,18 +304,19 @@ def _psd_kernel(m: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def _raise_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _raise_lapack_failure(err, flag):
+    raise np.linalg.LinAlgError("LAPACK call failed: no convergence or a singular matrix")
 
 
 def _lapack_checked() -> np.errstate:
-    """Floating-point state in which a failed _eigh_lo or _eigvalsh_lo raises.
+    """Floating-point state in which a failed _eigh_lo, _eigvalsh_lo or _solve1 raises.
 
-    A gufunc whose LAPACK call does not converge fills its output with NaN
-    and sets the invalid flag; this turns the flag into LinAlgError, as
-    np.linalg does.  Use it as a context manager or a function decorator.
+    A gufunc whose LAPACK call does not converge, or meets a singular
+    matrix, fills its output with NaN and sets the invalid flag; this turns
+    the flag into LinAlgError, as np.linalg does.  Use it as a context
+    manager or a function decorator.
     """
-    return np.errstate(call=_raise_nonconvergence, invalid="call")
+    return np.errstate(call=_raise_lapack_failure, invalid="call")
 
 
 def psd_part(matrix) -> np.ndarray:

@@ -113,7 +113,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> Reconstructio
     def rank_one_image(vec: np.ndarray) -> Effect:
         probes_used.append(vec)
         image = _probe(handle, vec)
-        w = image.eig.eigenvalues
+        w = image.eigenvalues
         dev = max(float(np.max(np.abs(w[:-1]))), abs(float(w[-1]) - 1.0))
         if dev > tol:
             raise NonProjectionImage(

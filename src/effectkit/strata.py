@@ -6,7 +6,8 @@ member is unitarily equivalent to a block diagonal Diag(I_p, B, 0_q) with B
 strictly between 0 and I on the interior block.
 
 classify, is_scalar, is_projection and canonical_form are the package's
-spectral predicates.  Each reads the effect's cached eigendecomposition.
+spectral predicates.  classify, is_scalar and is_projection read the
+effect's cached eigenvalues, canonical_form its cached eigendecomposition.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
     the default tolerance, so classification is stable.
     """
     require_tolerance(tol)
-    w = as_effect(a).eig.eigenvalues
+    w = as_effect(a).eigenvalues
     return int(np.count_nonzero(w >= 1.0 - tol)), int(np.count_nonzero(w <= tol))
 
 
 def is_scalar(a, tol: float = CLASSIFY_TOL) -> tuple[bool, float]:
     """Whether A = tI, and the scalar t (mean eigenvalue) if so."""
     require_tolerance(tol)
-    w = as_effect(a).eig.eigenvalues
+    w = as_effect(a).eigenvalues
     # w.sum() / w.size is np.mean(w) bit for bit, at a third of its cost.
     return bool(w[-1] - w[0] <= tol), float(w.sum() / w.size)
 
@@ -39,7 +40,7 @@ def is_scalar(a, tol: float = CLASSIFY_TOL) -> tuple[bool, float]:
 def is_projection(a, tol: float = CLASSIFY_TOL) -> bool:
     """Whether every eigenvalue of A is within tol of 0 or 1."""
     require_tolerance(tol)
-    w = as_effect(a).eig.eigenvalues
+    w = as_effect(a).eigenvalues
     return bool(((w <= tol) | (w >= 1.0 - tol)).all())
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from effectkit.cli import main
+from effectkit.harness import trial_rng
 from effectkit.hermitian import Effect, as_matrix, random_effect, random_projection
 from effectkit.matrixio import loads_document, read_document, read_matrix, write_document, write_matrix
 from effectkit.preservers import (
@@ -189,3 +190,19 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Coexistent" in proc.stdout
+
+
+def test_max_cycles_is_the_newton_step_budget(effects, tmp_path, capsys):
+    # Criterion 6's pair dim 3 #70 needs 14 Newton steps to be proved
+    # NotCoexistent; with a budget of 5 it ends Indeterminate.
+    rng = trial_rng(0, "acc6:3", 70)
+    paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
+    for path in paths:
+        write_matrix(path, random_effect(3, seed=rng))
+    args = ["check", *map(str, paths)]
+    assert main(args) == 1
+    assert "iterations: 14" in capsys.readouterr().out
+    assert main([*args, "--max-cycles", "5"]) == 2
+    assert "iterations: 5" in capsys.readouterr().out
+    # --stall-window went with the projection solver.
+    assert main([*args, "--stall-window", "50"]) == 64

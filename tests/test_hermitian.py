@@ -209,6 +209,34 @@ def test_effect_carries_its_eigendecomposition():
         e.eig.eigenvalues[0] = 0.5
 
 
+def test_validated_effect_keeps_eigenvalues_but_no_eigenvectors(monkeypatch):
+    # Validation decomposes once and keeps only the eigenvalues; the
+    # eigenvectors are computed on first use of eig, once.
+    m = random_effect(4, seed=10).matrix.copy()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(x, *args, **kwargs):
+        calls.append(x)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    e = Effect(m)
+    assert len(calls) == 1
+    w = e.eigenvalues
+    assert len(calls) == 1 and e.eigenvalues is w
+    assert not w.flags.writeable
+    assert _same_bytes(w, eigh(m).eigenvalues)
+    first = e.eig
+    assert len(calls) == 2 and e.eig is first
+    assert _same_bytes(first.eigenvalues, w)
+    # A clamped or trusted effect computes both on first use, from eig.
+    for lazy in (Effect(np.diag([1.0 + 5e-10, 0.5])), Effect.trusted(m)):
+        calls.clear()
+        assert _same_bytes(lazy.eigenvalues, lazy.eig.eigenvalues)
+        assert len(calls) == 1
+
+
 def test_clamped_effect_decomposes_its_stored_matrix():
     u = random_unitary(3, seed=8)
     m = (u * np.array([-5e-10, 0.5, 1.0 + 5e-10])) @ u.conj().T
@@ -429,6 +457,11 @@ def test_private_lapack_gufuncs_match_their_wrappers():
         q_ref, r_ref = np.linalg.qr(g)
         assert q.tobytes() == q_ref.tobytes()
         assert np.triu(factored).tobytes() == r_ref.tobytes()
+    for size in (2, 5, 10, 17, 26, 37, 50, 65):  # n^2 + 1 for n = 1..8, and others
+        m = rng.standard_normal((size, size))
+        rhs = rng.standard_normal(size)
+        x = hermitian._solve1(m, rhs, signature="dd->d")
+        assert x.tobytes() == np.linalg.solve(m, rhs).tobytes()
 
 
 def test_random_effect_strata_pinning():

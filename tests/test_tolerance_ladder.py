@@ -4,24 +4,33 @@ Effects are built with eigenvalues at half and at twice the DETECTION_TOL
 (1e-9) and CLASSIFY_TOL (1e-7) rungs from 0 and 1, so each predicate's
 answer is fixed by the documented threshold with a margin far above
 rounding.  fast_path and the strata predicates must read each effect's
-cached eigendecomposition instead of decomposing it again.  Every public
-function that takes a tolerance from its caller rejects a NaN, infinite or
-negative one.
+cached eigenvalues instead of decomposing it again.  Every public function
+that takes a tolerance from its caller rejects a NaN, infinite or negative
+one.  Rank-one pairs whose sum peaks within 1e-2 of 1 probe the solver at
+the feasibility tolerance: its verdicts stay certified and consistent.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from effectkit.coexistence import Reason, Verdict, decide, fast_path, verify_mn
+from effectkit.coexistence import (
+    Reason,
+    Verdict,
+    decide,
+    fast_path,
+    verify_dual,
+    verify_mn,
+)
 from effectkit.hermitian import (
     CLASSIFY_TOL,
     DETECTION_TOL,
     ORDER_TOL,
     Effect,
+    as_effect,
     loewner_leq,
     random_effect,
     random_unitary,
@@ -187,12 +196,13 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
 
+    # Eigenvalue readers decompose nothing: the no-rule pair, rules 1-3 and
+    # the strata predicates read only the eigenvalues kept from validation.
     assert fast_path(*pairs[0]) is None
     assert decomposed == []
-    verdicts = [fast_path(a, b) for a, b in pairs[1:]]
+    verdicts = [fast_path(a, b) for a, b in pairs[1:4]]
     assert [v.reason for v in verdicts] == [Reason.SCALAR_RULE, Reason.PROJECTION_RULE,
-                                            Reason.COMMUTE_RULE, Reason.RANK_ONE_RULE]
-    assert not verdicts[-1].coexistent
+                                            Reason.COMMUTE_RULE]
     assert not inputs.intersection(decomposed)
 
     decomposed.clear()
@@ -200,8 +210,25 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
         classify(e)
         is_scalar(e)
         is_projection(e)
-        canonical_form(e)
     assert decomposed == []
+
+    # The rank-one rule and canonical_form need eigenvectors: at most one
+    # decomposition per effect, and none on a repeat call.
+    def once_each(call):
+        decomposed.clear()
+        call()
+        counts = [decomposed.count(m) for m in inputs]
+        assert max(counts) <= 1
+        decomposed.clear()
+        call()
+        assert not inputs.intersection(decomposed)
+
+    def rank_one_rule():
+        res = fast_path(*pairs[4])
+        assert res.reason == Reason.RANK_ONE_RULE and not res.coexistent
+
+    once_each(rank_one_rule)
+    once_each(lambda: [canonical_form(e) for e in effects])
 
 
 def _rank_one_pair():
@@ -213,6 +240,10 @@ def _rank_one_pair():
 
 
 _TOL_TAKERS = {
+    # Effect and as_effect are given a spectrum far outside [0, 1]: a NaN or
+    # infinite tol used to clamp it onto diag(1, 0) instead of raising.
+    "Effect": lambda a, b, tol: Effect(np.diag([5.0, -3.0]), tol=tol),
+    "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol),
     "decide": lambda a, b, tol: decide(a, b, tol=tol),
     "fast_path": lambda a, b, tol: fast_path(a, b, tol=tol),
     "classify": lambda a, b, tol: classify(a, tol),
@@ -246,3 +277,48 @@ def test_good_tolerances_pass_and_inf_stays_internal():
     assert require_hermitian(b.matrix - a.matrix, tol=math.inf).shape == (2, 2)
     with pytest.raises(ValueError, match="eps must be finite and > 0"):
         require_tolerance(0.0, "eps", positive=True)
+
+
+def _rank_one_edge_pair(dim, alpha, beta, target, rng):
+    """Rank-one effects alpha pp*, beta qq* whose sum peaks at target.
+
+    On span{p, q} the peak is ((alpha + beta) + sqrt((alpha + beta)^2 -
+    4 alpha beta (1 - c))) / 2 for c = |<p, q>|^2, which fixes c; None if
+    no overlap c in (0, 1) reaches the target.
+    """
+    total = alpha + beta
+    gap = 2.0 * target - total
+    one_minus_c = (total * total - gap * gap) / (4.0 * alpha * beta)
+    if not (gap > 0.0 and 0.0 < one_minus_c < 1.0):
+        return None
+    p = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    p /= np.linalg.norm(p)
+    r = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    r -= p * np.vdot(p, r)
+    r /= np.linalg.norm(r)
+    q = (math.sqrt(1.0 - one_minus_c) * np.exp(2j * np.pi * rng.random()) * p
+         + math.sqrt(one_minus_c) * r)
+    return Effect(alpha * np.outer(p, p.conj())), Effect(beta * np.outer(q, q.conj()))
+
+
+@seed(107)
+@settings(deadline=None, max_examples=150)
+@given(dim=st.integers(2, 5), u=st.floats(-7.0, -2.0), above=st.booleans(),
+       alpha=st.floats(0.3, 0.999), beta=st.floats(0.3, 0.999),
+       s=st.integers(0, 2**32 - 1))
+def test_solver_at_the_rank_one_edge(dim, u, above, alpha, beta, s):
+    target = 1.0 + 10.0 ** u if above else 1.0 - 10.0 ** u
+    pair = _rank_one_edge_pair(dim, alpha, beta, target, np.random.default_rng(s))
+    assume(pair is not None)
+    a, b = pair
+    peak = float(np.linalg.eigvalsh(a.matrix + b.matrix)[-1])
+    ab, ba = decide(a, b, fast_paths=False), decide(b, a, fast_paths=False)
+    assert (ab.verdict, ab.reason, ab.residual, ab.iterations) == \
+        (ba.verdict, ba.reason, ba.residual, ba.iterations)
+    if peak <= 1.0:
+        assert ab.verdict != Verdict.NOT_COEXISTENT
+    for x, y, res in ((a, b, ab), (b, a, ba)):
+        if res.coexistent:
+            assert verify_mn(x, y, *res.witness)
+        if res.verdict == Verdict.NOT_COEXISTENT:
+            assert verify_dual(x, y, *res.dual)
