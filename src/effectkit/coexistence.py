@@ -70,12 +70,6 @@ _PATH_FACTOR = 20.0
 _CENTRED = 0.5
 _MIN_STEP = 1e-10
 
-# Once the residual drops below feas_tol the iterate is refined with plain
-# cyclic projections, which sharpens the witness by a few more orders of
-# magnitude at negligible cost.
-_POLISH_TARGET = 1e-10
-_POLISH_CYCLES = 200
-
 
 class Verdict(str, Enum):
     COEXISTENT = "Coexistent"
@@ -109,8 +103,8 @@ class SolverConfig:
 class CoexistenceVerdict:
     """How decide settled a pair.
 
-    ``iterations`` counts the solver's Newton steps plus the polishing
-    cycles that sharpen a witness (0 for the exact rules).  ``dual`` is the
+    ``iterations`` counts the solver's Newton steps (0 for the exact rules
+    and for a corner candidate).  ``dual`` is the
     solver's certificate (Z2, Z3, Z4) for verify_dual, normalised so that
     the traces of Z1 = Z2 + Z3 - Z4, Z2, Z3 and Z4 sum to 1; it is None
     unless the solver proved the pair (or, in decide_blockwise, one block
@@ -253,33 +247,17 @@ def _corner_witness(am, bm, k, base, feas_tol):
     M = 0 is feasible whenever A + B <= I, M = A whenever A <= B (and
     symmetrically M = B), and the positive part of A + B - I covers pairs
     crowding the identity.  Each candidate is checked against the full
-    residual, so a hit is an exact certificate, not a heuristic.  This
-    matters for nearly singular pairs, where the feasible set is too thin
-    for the projection loop to enter before stall detection trips.
+    residual, so a hit is an exact certificate, not a heuristic.  It also
+    settles pairs whose margin t* is 0, which the barrier's strictly
+    feasible iterates only approach from below.  Returns (M, residual) for
+    the first candidate whose residual is below feas_tol, else None.
     """
     for cand in (np.zeros_like(k), np.asarray(am, dtype=complex),
                  np.asarray(bm, dtype=complex), _psd_kernel(k)):
-        if _residual(cand, base) < feas_tol:
-            return cand
+        r = _residual(cand, base)
+        if r < feas_tol:
+            return cand, r
     return None
-
-
-def _polish(x, am, bm, k, base):
-    """Plain cyclic projections to sharpen a near-feasible iterate."""
-    best = x
-    best_r = _residual(x, base)
-    used = 0
-    for used in range(1, _POLISH_CYCLES + 1):
-        x = _psd_kernel(x)
-        x = am - _psd_kernel(am - x)
-        x = bm - _psd_kernel(bm - x)
-        x = k + _psd_kernel(x - k)
-        r = _residual(x, base)
-        if r < best_r:
-            best, best_r = x, r
-        if r <= _POLISH_TARGET:
-            break
-    return best, best_r, used
 
 
 @functools.lru_cache(maxsize=8)
@@ -365,8 +343,7 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
         if lower > -cfg.feas_tol:
             r = _residual(m, base)
             if r < cfg.feas_tol:
-                x, r, extra = _polish(m, am, bm, k, base)
-                return Verdict.COEXISTENT, x, r, steps + extra, None
+                return Verdict.COEXISTENT, m, r, steps, None
 
         inv_w = 1.0 / w
         vh = v.conj().swapaxes(1, 2)
@@ -424,8 +401,7 @@ def _solve(am, bm, cfg: SolverConfig):
     base = np.stack((np.zeros_like(k), am, bm, -k))
     corner = _corner_witness(am, bm, k, base, cfg.feas_tol)
     if corner is not None:
-        x, r, extra = _polish(corner, am, bm, k, base)
-        return Verdict.COEXISTENT, x, r, extra, None
+        return (Verdict.COEXISTENT, *corner, 0, None)
     return _barrier(am, bm, k, base, cfg)
 
 
@@ -546,13 +522,14 @@ def _check_psd(names, mats, tol: float):
     """Check each matrix is PSD at tol; the first that fails, in order, raises.
 
     A non-finite matrix fails with margin NaN.  The finite ones before it go
-    through one stacked eigvalsh.
+    through one stacked eigvalsh of their Hermitian parts, formed as
+    X/2 + X*/2 so that finite entries near the float limit cannot overflow.
     """
     stack = np.stack(mats)
     finite = np.isfinite(stack).all(axis=(1, 2))
     checked = len(mats) if finite.all() else int(finite.argmin())
     herm = stack[:checked]
-    lows = np.linalg.eigvalsh((herm + herm.conj().swapaxes(1, 2)) / 2.0)[:, 0]
+    lows = np.linalg.eigvalsh(herm / 2.0 + herm.conj().swapaxes(1, 2) / 2.0)[:, 0]
     for name, lo in zip(names, lows):
         if not lo >= -tol:
             raise InvalidCertificate(f"{name} >= 0", -float(lo))

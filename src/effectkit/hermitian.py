@@ -286,18 +286,6 @@ def _psd_kernel(m: np.ndarray) -> np.ndarray:
     the result is Hermitian up to rounding.  Call it under _lapack_checked,
     or a LAPACK failure comes back as NaN.
     """
-    if m.shape[0] == 2:
-        # Closed form: a 2x2 Hermitian with eigenvalues lo <= hi and lo < 0
-        # projects to hi/(hi - lo) * (M - lo*I); other sign cases are trivial.
-        half_tr = (m[0, 0].real + m[1, 1].real) / 2.0
-        disc = np.hypot((m[0, 0].real - m[1, 1].real) / 2.0, abs(m[0, 1]))
-        lo = half_tr - disc
-        hi = half_tr + disc
-        if lo >= 0.0:
-            return m
-        if hi <= 0.0:
-            return np.zeros_like(m)
-        return hi / (hi - lo) * (m - lo * np.eye(2))
     w, v = _eigh_lo(m)
     if w[0] >= 0.0:
         return m

@@ -102,6 +102,22 @@ def matrix_document(matrix, kind: str | None = None) -> dict:
     return doc
 
 
+def complex_entries(entries) -> np.ndarray:
+    """Complex vector held in a list of finite [re, im] number pairs."""
+    if not isinstance(entries, list):
+        raise FileFormatError("entries must be a list of [re, im] pairs")
+    flat = np.empty(len(entries), dtype=complex)
+    for i, pair in enumerate(entries):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in pair)):
+            raise FileFormatError(f"entry {i} is not a [re, im] pair")
+        flat[i] = complex(pair[0], pair[1])
+    if not np.isfinite(flat).all():
+        raise FileFormatError("entries must be finite numbers")
+    return flat
+
+
 def document_matrix(doc: dict):
     """Matrix held in a document: an Effect if marked, else a plain array."""
     if not isinstance(doc, dict):
@@ -112,16 +128,7 @@ def document_matrix(doc: dict):
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise FileFormatError(f"field 'entries' must hold {dim * dim} pairs")
-    flat = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in pair)):
-            raise FileFormatError(f"entry {i} is not a [re, im] pair")
-        flat[i] = complex(pair[0], pair[1])
-    if not np.isfinite(flat).all():
-        raise FileFormatError("entries must be finite numbers")
-    m = flat.reshape(dim, dim)
+    m = complex_entries(entries).reshape(dim, dim)
     kind = doc.get("kind")
     if kind == "effect":
         try:

@@ -180,7 +180,7 @@ class BlockCounterexampleSpec:
             v = np.asarray(x, dtype=complex).reshape(-1)
             if v.shape[0] != n:
                 raise ValueError("vector length must match dimension")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
                 raise ValueError("vectors must have unit norm")
             v.flags.writeable = False
             vecs.append(v)
@@ -189,7 +189,7 @@ class BlockCounterexampleSpec:
             g = np.asarray(d, dtype=float).reshape(-1)
             if g.shape[0] != n:
                 raise ValueError("diagonal length must match dimension")
-            if np.any(g < 0.0) or np.any(g > 1.0):
+            if not np.all((g >= 0.0) & (g <= 1.0)):
                 raise ValueError("diagonal entries must lie in [0, 1]")
             g.flags.writeable = False
             diags.append(g)
@@ -259,7 +259,8 @@ class GesBijectiveSpec:
     The unitary and the grid are validated once, here: the spec keeps
     read-only copies of both, so the caller's arrays stay writable and later
     changes to them cannot reach the spec.  apply_ges_bijective trusts the
-    copies and does not check them again.
+    copies and does not check them again.  The selector seed is hashed as 8
+    bytes, so it must be an integer in [0, 2**64).
     """
 
     unitary: np.ndarray
@@ -274,12 +275,17 @@ class GesBijectiveSpec:
         g = np.array(self.grid, dtype=float).reshape(-1)
         if g.shape[0] != GRID_NODES:
             raise ValueError(f"grid must hold {GRID_NODES} values")
-        if np.any(g < 0.0) or np.any(g > 1.0) or len(np.unique(g)) != GRID_NODES:
+        if not np.all((g >= 0.0) & (g <= 1.0)) or len(np.unique(g)) != GRID_NODES:
             raise ValueError("grid values must be distinct points of [0, 1]")
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
         if self.selector not in ("hash", "first"):
             raise ValueError(f"unknown selector {self.selector!r}")
+        seed = self.selector_seed
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed < 2 ** 64):
+            raise ValueError(f"selector_seed must be an integer in [0, 2**64), got {seed!r}")
+        object.__setattr__(self, "selector_seed", int(seed))
 
     @property
     def dim(self) -> int:
@@ -366,23 +372,29 @@ def preserver_spec_document(spec) -> dict:
     raise TypeError(f"not a preserver spec: {type(spec).__name__}")
 
 
+def _flag(doc: dict, key: str) -> bool:
+    """A boolean field of a spec document: JSON true or false, default false."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def document_preserver_spec(doc: dict):
-    from .matrixio import FileFormatError, document_matrix
+    from .matrixio import FileFormatError, complex_entries, document_matrix
 
     kind = doc.get("map")
     try:
         if kind == "standard":
             return StandardAutomorphismSpec(
                 document_matrix(doc["unitary"]),
-                bool(doc.get("transpose", False)),
-                bool(doc.get("perp", False)),
+                _flag(doc, "transpose"),
+                _flag(doc, "perp"),
             )
         if kind == "trace-threshold":
             return TraceThresholdSpec(int(doc["dim"]), float(doc.get("alpha", 1.0)))
         if kind == "block-cx":
-            vectors = tuple(
-                np.array([complex(p[0], p[1]) for p in v]) for v in doc["vectors"]
-            )
+            vectors = tuple(complex_entries(v) for v in doc["vectors"])
             diagonals = tuple(np.array(d, dtype=float) for d in doc["diagonals"])
             return BlockCounterexampleSpec(
                 document_matrix(doc["contraction"]), vectors, diagonals
@@ -391,7 +403,7 @@ def document_preserver_spec(doc: dict):
             return GesBijectiveSpec(
                 document_matrix(doc["unitary"]),
                 np.array(doc["grid"], dtype=float),
-                int(doc.get("selector_seed", 0)),
+                doc.get("selector_seed", 0),
                 str(doc.get("selector", "hash")),
             )
     except (KeyError, TypeError, ValueError) as exc:

@@ -98,6 +98,17 @@ def test_apply_map_kind_mismatch(tmp_path, effects, capsys):
     assert code == 64
 
 
+def test_apply_rejects_a_malformed_spec_document(tmp_path, effects):
+    # A vector entry that is not a [re, im] pair is bad input (66), not a crash (70).
+    pa, _ = effects
+    doc = preserver_spec_document(random_block_spec(3, seed=6))
+    doc["vectors"][0][0] = [1.0]
+    spec_path = tmp_path / "blk.spec"
+    write_document(spec_path, doc)
+    code = main(["apply", "--map", "block-cx", "--spec", str(spec_path), str(pa)])
+    assert code == 66
+
+
 def test_apply_without_out_prints_document(tmp_path, effects, capsys):
     pa, _ = effects
     spec_path = tmp_path / "tt.spec"

@@ -12,6 +12,7 @@ from effectkit.hermitian import (
     random_unitary,
     zero_effect,
 )
+from effectkit.matrixio import FileFormatError
 from effectkit.preservers import (
     BlockCounterexampleSpec,
     GesBijectiveSpec,
@@ -216,12 +217,15 @@ def test_block_spec_validation():
             vectors=(np.array([1.0, 0.0], dtype=complex),),
             diagonals=(np.ones(2),),
         )
-    with pytest.raises(ValueError):
-        BlockCounterexampleSpec(
-            contraction=np.eye(2, dtype=complex),
-            vectors=(np.array([2.0, 0.0], dtype=complex),),
-            diagonals=(np.ones(2),),
-        )
+    # NaN fails every range test, so each test must be written to fail closed.
+    for vector, diagonal in (([2.0, 0.0], [1.0, 1.0]), ([np.nan, 0.0], [0.5, 0.5]),
+                             ([1.0, 0.0], [np.nan, 0.5])):
+        with pytest.raises(ValueError):
+            BlockCounterexampleSpec(
+                contraction=np.eye(2, dtype=complex),
+                vectors=(np.array(vector, dtype=complex),),
+                diagonals=(np.array(diagonal),),
+            )
 
 
 def test_ges_first_selector_with_identity_grid_is_conjugation():
@@ -274,8 +278,47 @@ def test_ges_preserves_verdicts():
 def test_ges_spec_validation():
     with pytest.raises(ValueError):
         GesBijectiveSpec(np.eye(2, dtype=complex), grid=np.zeros(1025))
+    nan_node = np.linspace(0.0, 1.0, 1025)
+    nan_node[3] = np.nan
+    with pytest.raises(ValueError):
+        GesBijectiveSpec(np.eye(2, dtype=complex), grid=nan_node)
     with pytest.raises(ValueError):
         GesBijectiveSpec(np.eye(2, dtype=complex), selector="sometimes")
+    # The hash selector writes the seed as 8 bytes on every apply.
+    for seed in (-1, 2 ** 64, 2 ** 70, 1.0, True):
+        with pytest.raises(ValueError):
+            GesBijectiveSpec(np.eye(2, dtype=complex), selector_seed=seed)
+    spec = GesBijectiveSpec(np.eye(2, dtype=complex), selector_seed=np.uint64(2 ** 64 - 1))
+    assert spec.selector_seed == 2 ** 64 - 1 and type(spec.selector_seed) is int
+    apply_ges_bijective(spec, random_effect(2, seed=3))
+
+
+def _spoiled(maker, spoil):
+    doc = preserver_spec_document(maker())
+    spoil(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _spoiled(lambda: random_block_spec(2, seed=21),
+             lambda d: d["vectors"][0].__setitem__(0, [1.0])),
+    _spoiled(lambda: random_block_spec(2, seed=21),
+             lambda d: d["vectors"][0].__setitem__(0, [1.0, 0.0, 0.0])),
+    _spoiled(lambda: random_block_spec(2, seed=21),
+             lambda d: d["diagonals"][0].__setitem__(0, float("nan"))),
+    _spoiled(lambda: random_ges_spec(2, seed=22),
+             lambda d: d.__setitem__("selector_seed", -1)),
+    _spoiled(lambda: random_ges_spec(2, seed=22),
+             lambda d: d.__setitem__("selector_seed", 2 ** 70)),
+    _spoiled(lambda: random_standard_spec(2, seed=20),
+             lambda d: d.__setitem__("transpose", "no")),
+    _spoiled(lambda: random_standard_spec(2, seed=20),
+             lambda d: d.__setitem__("perp", 1)),
+], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
+        "ges-huge-seed", "standard-string-transpose", "standard-integer-perp"])
+def test_spec_documents_fail_closed(doc):
+    with pytest.raises(FileFormatError):
+        document_preserver_spec(doc)
 
 
 @pytest.mark.parametrize("maker", [
