@@ -37,8 +37,10 @@ from .hermitian import (
     clamped_effect,
     direct_sum,
     random_effect,
+    require_hermitian,
     require_tolerance,
     sqrt_psd,
+    _clipped,
     _eigh_lo,
     _eigvalsh_lo,
     _lapack_checked,
@@ -52,8 +54,8 @@ from .strata import classify, is_projection, is_scalar
 # orders of magnitude: a margin t* certified to lie between -sep_tol and
 # -feas_tol is reported as Indeterminate rather than rounded to a verdict.
 # max_cycles is the Newton-step budget: the acceptance streams (dims 2-5)
-# take at most 30 steps, and rank-one pairs whose sum peaks within 1e-7 to
-# 1e-2 of 1 at most 69; at dim 8 the counts were 28 and 82.
+# take at most 19 steps, and rank-one pairs whose sum peaks within 1e-7 to
+# 1e-2 of 1 at most 35; at dim 8 the counts were 12 and 32.
 FEAS_TOL = 1e-7
 SEP_TOL = 1e-5
 MAX_CYCLES = 200
@@ -64,10 +66,17 @@ CERT_TOL = 1e-6
 
 # Barrier path: the weight s on the margin grows by _PATH_FACTOR whenever the
 # Newton decrement at the current iterate is below _CENTRED, that is when the
-# iterate is close enough to the central point of the current s.  A line
-# search step shorter than _MIN_STEP counts as numerical failure.
+# iterate is close enough to the central point of the current s.  The line
+# search's first trial goes _BOUNDARY of the way to the boundary of the
+# feasible set (or takes the full step), and a trial is accepted once the
+# barrier falls by _ARMIJO times the step times the squared decrement, else
+# the step shrinks by _BACKTRACK.  A step shorter than _MIN_STEP counts as
+# numerical failure.
 _PATH_FACTOR = 20.0
 _CENTRED = 0.5
+_BOUNDARY = 0.99
+_ARMIJO = 0.25
+_BACKTRACK = 0.5
 _MIN_STEP = 1e-10
 
 
@@ -139,7 +148,16 @@ class InvalidCertificate(ValueError):
 
 def _coexistent(reason: Reason, m, n, residual: float = 0.0,
                 iterations: int = 0) -> CoexistenceVerdict:
-    witness = (clamped_effect(m), clamped_effect(n))
+    """A Coexistent verdict whose witness is (M, N) clamped onto the effects.
+
+    M and N are checked as require_hermitian checks them (finite entries,
+    Hermitian to HERMITICITY_TOL) and clamped by one stacked eigh; each
+    witness has the bytes clamped_effect would give it.
+    """
+    with _lapack_checked():
+        w, v = _eigh_lo(np.stack((require_hermitian(m), require_hermitian(n))))
+    mc, nc = _clipped(w, v)
+    witness = (Effect.trusted(mc), Effect.trusted(nc))
     return CoexistenceVerdict(Verdict.COEXISTENT, reason, witness,
                               float(residual), iterations)
 
@@ -245,18 +263,27 @@ def _corner_witness(am, bm, k, base, feas_tol):
     """Closed-form candidates that certify easy instances without iterating.
 
     M = 0 is feasible whenever A + B <= I, M = A whenever A <= B (and
-    symmetrically M = B), and the positive part of A + B - I covers pairs
-    crowding the identity.  Each candidate is checked against the full
-    residual, so a hit is an exact certificate, not a heuristic.  It also
-    settles pairs whose margin t* is 0, which the barrier's strictly
-    feasible iterates only approach from below.  Returns (M, residual) for
-    the first candidate whose residual is below feas_tol, else None.
+    symmetrically M = B), and the positive part K+ of K = A + B - I covers
+    pairs crowding the identity.  A and B are effects, so of each
+    candidate's four slacks only these can be violated: -K for M = 0, B - A
+    for M = A, A - B for M = B, and A - K+ and B - K+ for M = K+.  One
+    stacked eigvalsh of K, B - A, A - K+ and B - K+ screens all four; the
+    first candidate that passes its screen is confirmed against the full
+    residual, so a hit is an exact certificate, not a heuristic, and the
+    first candidate whose residual is below feas_tol is the one returned.
+    It also settles pairs whose margin t* is 0, which the barrier's strictly
+    feasible iterates only approach from below.  Returns (M, residual), or
+    None.
     """
-    for cand in (np.zeros_like(k), np.asarray(am, dtype=complex),
-                 np.asarray(bm, dtype=complex), _psd_kernel(k)):
-        r = _residual(cand, base)
-        if r < feas_tol:
-            return cand, r
+    kp = _psd_kernel(k)
+    lo = _eigvalsh_lo(np.stack((k, bm - am, am - kp, bm - kp)))
+    screens = (lo[0, -1] <= feas_tol, lo[1, 0] >= -feas_tol,
+               lo[1, -1] <= feas_tol, min(lo[2, 0], lo[3, 0]) >= -feas_tol)
+    for cand, passes in zip((np.zeros_like(k), am, bm, kp), screens):
+        if passes:
+            r = _residual(cand, base)
+            if r < feas_tol:
+                return cand, r
     return None
 
 
@@ -304,19 +331,27 @@ def _hessian(wi, wsq, inv_w) -> np.ndarray:
 
 
 def _barrier(am, bm, k, base, cfg: SolverConfig):
-    """Damped Newton steps along the central path of the margin problem.
+    """Newton steps with a line search along the central path of the margin problem.
 
     Minimises -s t - sum_i log det S_i over (M, t), where S_i = C_i +
     sigma_i M - tI are the four slacks (C = 0, A, B, -K; sigma = +1, -1,
     -1, +1), for a weight s that grows by _PATH_FACTOR each time the
     iterate is centred.  Every iterate is strictly feasible, so t is a
-    lower bound on the margin t*; at a centred iterate Z_i = S_i^-1 (and
-    Z1 := Z2 + Z3 - Z4) is nearly a dual point, whose value bounds t* from
-    above.  One stacked eigh of the slacks per iterate gives their
-    inverses and the line search's feasibility test.  The Newton system is
-    real, of size n^2 + 1 in the coordinates of _coordinates plus t;
-    building it (_hessian) takes O(n^4) time and memory, solving it O(n^6)
-    time.
+    lower bound on the margin t*.  The Newton system is real, of size
+    n^2 + 1 in the coordinates of _coordinates plus t; building it
+    (_hessian) takes O(n^4) time and memory, solving it O(n^6) time.
+
+    One stacked eigh of the slacks S_i = V_i diag(w_i) V_i* per iterate
+    gives W_i = S_i^-1 and U_i = V_i diag(w_i^-1/2).  With mu the
+    eigenvalues of G_i = U_i* dS_i U_i for the Newton step dS_i, the
+    barrier along the step is -s a dt - sum log(1 + a mu) up to a constant,
+    so the backtracking line search (Boyd and Vandenberghe, section 9.2)
+    needs no eigh per trial, and the slacks are updated in place; M is
+    read off as S_1 + tI.  The same G_i give the Newton-corrected dual
+    Z_i = W_i - W_i dS_i W_i = U_i (I - G_i) U_i*: it meets the dual's
+    equality constraints up to the Newton solve's rounding, and it is PSD
+    when every mu is at most 1, in which case its value bounds t* from
+    above.
 
     Returns (verdict, M or None, residual, Newton steps, dual or None).
     Runs under _lapack_checked, through _solve.
@@ -324,56 +359,34 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
     n = am.shape[0]
     eye = np.eye(n)
     weights, coords = _coordinates(n)
-    m = (am + bm) / 4.0
-    t = _eigvalsh_lo(base + _SIGNS * m).min() - 1.0
+    slacks = base + _SIGNS * ((am + bm) / 4.0)
+    t = _eigvalsh_lo(slacks).min() - 1.0
+    slacks -= t * eye
     s = None
-    dm, dt, step = np.zeros_like(m), 0.0, 0.0
     steps = 0
     while True:
-        # Line search: halve the step until every slack is positive definite.
-        w, v = _eigh_lo(base + _SIGNS * (m + step * dm) - (t + step * dt) * eye)
+        m = slacks[0] + t * eye
+        w, v = _eigh_lo(slacks)
         if not w.min() > 0.0:
-            step /= 2.0
-            if step < _MIN_STEP:
-                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-            continue
-        m, t = m + step * dm, t + step * dt
+            # The line search keeps the slacks positive definite in exact
+            # arithmetic; the eigensolver can no longer resolve them.
+            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
         lower = w.min() + t  # the smallest eigenvalue of the C_i + sigma_i M
-
         if lower > -cfg.feas_tol:
             r = _residual(m, base)
             if r < cfg.feas_tol:
                 return Verdict.COEXISTENT, m, r, steps, None
 
-        inv_w = 1.0 / w
-        vh = v.conj().swapaxes(1, 2)
-        wi = (v * inv_w[:, None, :]) @ vh  # W_i = S_i^-1
-        traces = inv_w.sum(axis=1)
-        norm = 2.0 * (traces[1] + traces[2])  # sum of tr Z_i, Z1 included
-        value = (np.vdot(wi[1], am).real + np.vdot(wi[2], bm).real
-                 - np.vdot(wi[3], k).real) / norm
-        if value < -cfg.feas_tol:
-            # The dual bound needs Z1 = W2 + W3 - W4, which can be indefinite.
-            z1_low = _eigvalsh_lo(wi[1] + wi[2] - wi[3])[0]
-            upper = value + n * max(0.0, -z1_low) / norm
-            if upper <= -cfg.sep_tol:
-                dual = wi[1:] / norm
-                dual.flags.writeable = False
-                if verify_dual(am, bm, *dual):
-                    return (Verdict.NOT_COEXISTENT, None, _residual(m, base),
-                            steps, tuple(dual))
-            elif lower > -cfg.sep_tol and upper < -cfg.feas_tol:
-                # t* lies between -sep_tol and -feas_tol: neither certificate
-                # can exist at these tolerances.
-                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-        if steps >= cfg.max_cycles:
-            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-
         # Newton system in the coordinates (x, t) of (M, t).
-        wsq = (v * (inv_w * inv_w)[:, None, :]) @ vh
+        inv_w = 1.0 / w
+        u = v * np.sqrt(inv_w)[:, None, :]
+        uh = u.conj().swapaxes(1, 2)
+        wi = u @ uh  # W_i = S_i^-1
+        wsq = wi @ wi
         hess = _hessian(wi, wsq, inv_w)
         grad = np.empty(n * n + 1)
         grad[:-1] = (coords * (wi[1] + wi[2] - wi[0] - wi[3])).real.ravel()
+        traces = inv_w.sum(axis=1)
         if s is None:
             s = traces.sum()  # the start's gradient in t vanishes
         while True:
@@ -382,14 +395,42 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
             decrement_sq = -grad @ delta
             if not math.isfinite(decrement_sq):
                 raise np.linalg.LinAlgError("Newton system has no finite solution")
-            decrement = math.sqrt(max(0.0, decrement_sq))
-            if decrement >= _CENTRED:
+            if decrement_sq >= _CENTRED * _CENTRED:
                 break
             s *= _PATH_FACTOR
         dm = weights * delta[:-1].reshape(n, n)
         dm += dm.conj().T
         dt = delta[-1]
-        step = 1.0 / (1.0 + decrement)
+        dslacks = _SIGNS * dm - dt * eye
+        g = uh @ dslacks @ u
+        mu = _eigvalsh_lo(g)
+        mu_low, mu_high = mu.min(), mu.max()
+
+        if mu_high <= 1.0:
+            z = wi[1:] - u[1:] @ g[1:] @ uh[1:]  # Z2, Z3, Z4, all PSD
+            norm = 2.0 * z[:2].trace(axis1=1, axis2=2).real.sum()
+            value = np.vdot(z, base[1:]).real / norm  # base[1:] = A, B, -K
+            if value <= -cfg.sep_tol:
+                dual = z / norm
+                dual.flags.writeable = False
+                if verify_dual(am, bm, *dual):
+                    return (Verdict.NOT_COEXISTENT, None, _residual(m, base),
+                            steps, tuple(dual))
+            elif lower > -cfg.sep_tol and value < -cfg.feas_tol:
+                # t* lies between -sep_tol and -feas_tol: neither certificate
+                # can exist at these tolerances.
+                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+        if steps >= cfg.max_cycles:
+            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+
+        # Backtracking from just inside the boundary, where 1 + a mu = 0.
+        step = min(1.0, _BOUNDARY / -mu_low) if mu_low < 0.0 else 1.0
+        while s * step * dt + np.log1p(step * mu).sum() < _ARMIJO * step * decrement_sq:
+            step *= _BACKTRACK
+            if step < _MIN_STEP:
+                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+        slacks += step * dslacks
+        t += step * dt
         steps += 1
 
 
@@ -422,9 +463,11 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     iterate strictly feasible.
 
     A Newton step solves a dense real system of size n^2 + 1: O(n^6) time
-    and O(n^4) memory, measured at about 0.4 ms for n = 8, the harness's
+    and O(n^4) memory, measured at about 0.3 ms for n = 8, the harness's
     largest dimension, and 70 ms with 43 MB of arrays for n = 32.  Pairs
-    take 10 to 40 steps, so dimensions up to about 32 are practical.
+    that reach the barrier take a median of 6 and at most 19 steps on the
+    acceptance streams, and up to 35 on rank-one pairs whose margin lies
+    within 1e-2 of 0, so dimensions up to about 32 are practical.
 
     The solver's iteration path depends on argument order, so the pair is
     put into a canonical order first; this makes decide(A, B) and

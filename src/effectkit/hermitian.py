@@ -91,7 +91,7 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     exactly Hermitian array, so tiny asymmetries cannot leak into spectra.
     """
     m = _as_square_array(matrix)
-    dev = np.max(np.abs(m - m.conj().T))
+    dev = np.abs(m - m.conj().T).max()
     if not dev <= tol:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {dev:.6g} (tolerance {tol:g})"
@@ -112,9 +112,12 @@ def _read_only(w: np.ndarray, v: np.ndarray) -> EigenDecomposition:
 
 
 def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V diag(clip(w, 0, 1)) V*, symmetrised: the spectrum clamped to [0, 1]."""
-    m = (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
-    return (m + m.conj().T) / 2.0
+    """V diag(clip(w, 0, 1)) V*, symmetrised: the spectrum clamped to [0, 1].
+
+    Takes one decomposition or a stack of them.
+    """
+    m = (v * w.clip(0.0, 1.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def eig(matrix, tol: float = HERMITICITY_TOL) -> EigenDecomposition:

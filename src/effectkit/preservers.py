@@ -380,6 +380,22 @@ def _flag(doc: dict, key: str) -> bool:
     return value
 
 
+def _integer(doc: dict, key: str) -> int:
+    """A required integer field of a spec document: a JSON integer, not a bool."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(doc: dict, key: str, default: float) -> float:
+    """A numeric field of a spec document: a JSON number, not a bool or a string."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def document_preserver_spec(doc: dict):
     from .matrixio import FileFormatError, complex_entries, document_matrix
 
@@ -392,7 +408,7 @@ def document_preserver_spec(doc: dict):
                 _flag(doc, "perp"),
             )
         if kind == "trace-threshold":
-            return TraceThresholdSpec(int(doc["dim"]), float(doc.get("alpha", 1.0)))
+            return TraceThresholdSpec(_integer(doc, "dim"), _number(doc, "alpha", 1.0))
         if kind == "block-cx":
             vectors = tuple(complex_entries(v) for v in doc["vectors"])
             diagonals = tuple(np.array(d, dtype=float) for d in doc["diagonals"])
@@ -406,7 +422,7 @@ def document_preserver_spec(doc: dict):
                 doc.get("selector_seed", 0),
                 str(doc.get("selector", "hash")),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad preserver spec: {exc}") from exc
     raise FileFormatError(f"unknown map kind: {kind!r}")
 

@@ -107,6 +107,10 @@ def test_apply_rejects_a_malformed_spec_document(tmp_path, effects):
     write_document(spec_path, doc)
     code = main(["apply", "--map", "block-cx", "--spec", str(spec_path), str(pa)])
     assert code == 66
+    # A trace-threshold dim must be a JSON integer: 3.9 is bad input, not 3.
+    write_document(spec_path, {"map": "trace-threshold", "dim": 3.9, "alpha": 1.0})
+    code = main(["apply", "--map", "trace-threshold", "--spec", str(spec_path), str(pa)])
+    assert code == 66
 
 
 def test_apply_without_out_prints_document(tmp_path, effects, capsys):
@@ -204,7 +208,7 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_max_cycles_is_the_newton_step_budget(effects, tmp_path, capsys):
-    # Criterion 6's pair dim 3 #70 needs 14 Newton steps to be proved
+    # Criterion 6's pair dim 3 #70 needs 7 Newton steps to be proved
     # NotCoexistent; with a budget of 5 it ends Indeterminate.
     rng = trial_rng(0, "acc6:3", 70)
     paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
@@ -212,7 +216,7 @@ def test_max_cycles_is_the_newton_step_budget(effects, tmp_path, capsys):
         write_matrix(path, random_effect(3, seed=rng))
     args = ["check", *map(str, paths)]
     assert main(args) == 1
-    assert "iterations: 14" in capsys.readouterr().out
+    assert "iterations: 7" in capsys.readouterr().out
     assert main([*args, "--max-cycles", "5"]) == 2
     assert "iterations: 5" in capsys.readouterr().out
     # --stall-window went with the projection solver.

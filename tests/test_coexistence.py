@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -22,7 +24,7 @@ from effectkit.coexistence import (
     verify_efg,
     verify_mn,
 )
-from effectkit.harness import trial_rng
+from effectkit.harness import RULE_FAMILIES, rule_instance, trial_rng
 from effectkit.hermitian import (
     Effect,
     NotHermitian,
@@ -76,15 +78,15 @@ def test_rank_one_frozen_peaks_and_verdicts():
 # fast paths off, then (dim, index, verdict, steps) for pairs of criterion
 # 6's generic stream, which the corner check does not settle.  A step is a
 # Newton step; a corner candidate takes none.
-FROZEN_RANK_ONE_CYCLES = (0, 11, 14)
+FROZEN_RANK_ONE_CYCLES = (0, 7, 7)
 FROZEN_GENERIC = (
-    (2, 63, Verdict.COEXISTENT, 5),
-    (2, 89, Verdict.COEXISTENT, 10),
-    (2, 166, Verdict.COEXISTENT, 6),
-    (3, 70, Verdict.NOT_COEXISTENT, 14),
-    (3, 51, Verdict.COEXISTENT, 11),
-    (4, 13, Verdict.NOT_COEXISTENT, 19),
-    (5, 17, Verdict.NOT_COEXISTENT, 17),
+    (2, 63, Verdict.COEXISTENT, 3),
+    (2, 89, Verdict.COEXISTENT, 6),
+    (2, 166, Verdict.COEXISTENT, 7),
+    (3, 70, Verdict.NOT_COEXISTENT, 7),
+    (3, 51, Verdict.COEXISTENT, 8),
+    (4, 13, Verdict.NOT_COEXISTENT, 12),
+    (5, 17, Verdict.NOT_COEXISTENT, 9),
 )
 
 
@@ -147,6 +149,99 @@ def test_barrier_raises_when_lapack_fails(monkeypatch, gufunc):
                         lambda m, *args, **kwargs: real(np.full_like(m, np.nan), *args, **kwargs))
     with pytest.raises(np.linalg.LinAlgError):
         decide(a, b)
+
+
+@pytest.mark.parametrize("caller, poisoned_call", [("_corner_witness", 1), ("_barrier", 2)])
+def test_solver_raises_when_a_screen_or_step_eigvalsh_fails(monkeypatch, caller, poisoned_call):
+    # The corner screen's stacked eigvalsh (the one _corner_witness makes
+    # itself) and the barrier's eigvalsh of the G_i (its second, after the
+    # start's) are fed NaN: the solver must raise, not read NaN as a pass.
+    real = coexistence._eigvalsh_lo
+    calls = []
+
+    def poisoned(m, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == caller:
+            calls.append(m.shape)
+            if len(calls) == poisoned_call:
+                m = np.full_like(m, np.nan)
+        return real(m, *args, **kwargs)
+
+    a, b = _criterion6_pair(3, 70)
+    monkeypatch.setattr(coexistence, "_eigvalsh_lo", poisoned)
+    with pytest.raises(np.linalg.LinAlgError):
+        decide(a, b, fast_paths=False)
+    assert calls == [(4, 3, 3)] * poisoned_call
+
+
+_RESIDUAL = coexistence._residual
+
+
+def _corner_by_residual(am, bm, k, base, feas_tol):
+    """The corner check without its screen: each candidate's full residual."""
+    for cand in (np.zeros_like(k), am, bm, hermitian._psd_kernel(k)):
+        r = _RESIDUAL(cand, base)
+        if r < feas_tol:
+            return cand, r
+    return None
+
+
+def _corner_pairs(dim, rng):
+    """Seeded pairs for the corner check, each candidate's kind among them."""
+    eye = np.eye(dim)
+    for index in range(300):
+        kind = index % 6
+        a = random_effect(dim, seed=rng).matrix
+        r = random_effect(dim, seed=rng).matrix
+        if kind == 1:  # A + B <= I: M = 0
+            a, r = 0.5 * a, 0.5 * r
+        elif kind == 5:  # A + B = I: M = 0 with margin 0
+            r = eye - a
+        elif kind in (2, 3):  # A <= B, B - A singular: M = A, or M = B swapped
+            root = sqrt_psd(eye - a)
+            r = a + root @ random_effect(dim, (0, 1), seed=rng).matrix @ root
+            if kind == 3:
+                a, r = r, a
+        elif kind == 4:  # both near I: M = K+
+            a, r = eye - 0.4 * a, eye - 0.5 * r
+        yield Effect(a), Effect(r)
+    for index in range(80):
+        yield rule_instance(RULE_FAMILIES[index % len(RULE_FAMILIES)], dim, rng)[:2]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
+    # The screen reads four slacks; the full residual reads sixteen.  On
+    # every pair both must pick the same candidate, bytes and residual
+    # included, and every candidate must be picked somewhere.  The screen
+    # lets through only the candidate it returns: one full residual on a
+    # hit, none on a miss.
+    rng = np.random.default_rng(90 + dim)
+    feas_tol = SolverConfig().feas_tol
+    picked = set()
+    residual = coexistence._residual
+    confirmed = []
+    monkeypatch.setattr(coexistence, "_residual",
+                        lambda x, base: confirmed.append(1) or residual(x, base))
+    for a, b in _corner_pairs(dim, rng):
+        am, bm = a.matrix, b.matrix
+        k = am + bm - np.eye(dim)
+        base = np.stack((np.zeros_like(k), am, bm, -k))
+        confirmed.clear()
+        with hermitian._lapack_checked():
+            got = coexistence._corner_witness(am, bm, k, base, feas_tol)
+            assert len(confirmed) == (got is not None)
+            want = _corner_by_residual(am, bm, k, base, feas_tol)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] < feas_tol
+        res = decide(a, b, fast_paths=False)
+        assert res.iterations == 0 and verify_mn(a, b, *res.witness)
+        picked.add(next(i for i, cand in enumerate(
+            (np.zeros_like(k), am, bm, hermitian._psd_kernel(k)))
+            if cand.tobytes() == got[0].tobytes()))
+    assert picked == {0, 1, 2, 3}
 
 
 def _basis(n):

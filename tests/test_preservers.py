@@ -314,11 +314,27 @@ def _spoiled(maker, spoil):
              lambda d: d.__setitem__("transpose", "no")),
     _spoiled(lambda: random_standard_spec(2, seed=20),
              lambda d: d.__setitem__("perp", 1)),
+    {"map": "trace-threshold", "dim": 3.9, "alpha": 1.0},
+    {"map": "trace-threshold", "dim": "3", "alpha": 1.0},
+    {"map": "trace-threshold", "dim": 3, "alpha": True},
+    {"map": "trace-threshold", "dim": 3, "alpha": "2"},
+    {"map": "trace-threshold", "dim": 3, "alpha": 10 ** 400},
 ], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
-        "ges-huge-seed", "standard-string-transpose", "standard-integer-perp"])
+        "ges-huge-seed", "standard-string-transpose", "standard-integer-perp",
+        "trace-float-dim", "trace-string-dim", "trace-bool-alpha", "trace-string-alpha",
+        "trace-huge-alpha"])
 def test_spec_documents_fail_closed(doc):
     with pytest.raises(FileFormatError):
         document_preserver_spec(doc)
+
+
+def test_trace_threshold_document_takes_json_numbers():
+    # An integer alpha is a JSON number too; a missing alpha means 1.
+    spec = document_preserver_spec({"map": "trace-threshold", "dim": 4, "alpha": 2})
+    assert spec == TraceThresholdSpec(dim=4, alpha=2.0)
+    assert type(spec.alpha) is float
+    spec = document_preserver_spec({"map": "trace-threshold", "dim": 3})
+    assert spec == TraceThresholdSpec(dim=3, alpha=1.0)
 
 
 @pytest.mark.parametrize("maker", [

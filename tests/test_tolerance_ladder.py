@@ -6,8 +6,10 @@ answer is fixed by the documented threshold with a margin far above
 rounding.  fast_path and the strata predicates must read each effect's
 cached eigenvalues instead of decomposing it again.  Every public function
 that takes a tolerance from its caller rejects a NaN, infinite or negative
-one.  Rank-one pairs whose sum peaks within 1e-2 of 1 probe the solver at
-the feasibility tolerance: its verdicts stay certified and consistent.
+one.  Rank-one pairs whose sum peaks within 1e-2 of 1, and full-rank pairs
+(A, cB) with c within 1e-2 of their coexistence threshold, probe the
+solver at the feasibility tolerance: its verdicts stay certified and
+consistent.
 """
 
 import math
@@ -325,10 +327,61 @@ def test_solver_at_the_rank_one_edge(dim, u, above, alpha, beta, s):
             assert verify_dual(x, y, *res.dual)
 
 
+def _scaled_verdict(a, bm, c, both_orders=True):
+    """decide on (A, cB), in both orders if asked: they agree and are certified."""
+    b = Effect(c * bm)
+    ab = decide(a, b, fast_paths=False)
+    checks = [(a, b, ab)]
+    if both_orders:
+        ba = decide(b, a, fast_paths=False)
+        assert (ab.verdict, ab.reason, ab.residual, ab.iterations) == \
+            (ba.verdict, ba.reason, ba.residual, ba.iterations)
+        checks.append((b, a, ba))
+    for x, y, res in checks:
+        if res.coexistent:
+            assert verify_mn(x, y, *res.witness)
+        if res.verdict == Verdict.NOT_COEXISTENT:
+            assert verify_dual(x, y, *res.dual)
+    return ab.verdict
+
+
+@seed(108)
+@settings(deadline=None, max_examples=30)
+@given(dim=st.integers(2, 5), s=st.integers(0, 2**32 - 1),
+       us=st.lists(st.floats(-7.0, -2.0), min_size=2, max_size=2))
+def test_solver_at_the_full_rank_edge(dim, s, us):
+    # Full-rank A and B; c* is where (A, cB) stops coexisting, found by
+    # bisection in c to 1e-9 relative.  At c*(1 +- 10^u) both orders agree,
+    # and every certificate, there and at each bisection point, verifies.
+    # (A, cB) coexisting makes (A, c'B) coexist for every c' < c (scale M
+    # and N by c'/c), so no certified NotCoexistent may lie below a
+    # Coexistent in c.
+    rng = np.random.default_rng(s)
+    a, b = random_effect(dim, seed=rng), random_effect(dim, seed=rng)
+    bm = b.matrix
+    top = 1.0 / b.eigenvalues[-1]  # the largest c for which cB is an effect
+    seen = {top: _scaled_verdict(a, bm, top, both_orders=False)}
+    assume(seen[top] != Verdict.COEXISTENT)
+    lo, hi = 0.0, top
+    while hi - lo > 1e-9 * hi:
+        mid = (lo + hi) / 2.0
+        seen[mid] = _scaled_verdict(a, bm, mid, both_orders=False)
+        if seen[mid] == Verdict.COEXISTENT:
+            lo = mid
+        else:
+            hi = mid
+    for u in us:
+        for c in (hi * (1.0 - 10.0 ** u), min(top, hi * (1.0 + 10.0 ** u))):
+            seen[c] = _scaled_verdict(a, bm, c)
+    coexistent = [c for c, v in seen.items() if v == Verdict.COEXISTENT]
+    not_coexistent = [c for c, v in seen.items() if v == Verdict.NOT_COEXISTENT]
+    assert max(coexistent, default=0.0) < min(not_coexistent, default=math.inf)
+
+
 def test_solver_at_the_harness_maximum_dimension():
     # The harness takes dims up to 8.  Measured there: criterion 6's generic
-    # pairs need at most 28 Newton steps (200 pairs) and rank-one pairs at
-    # the tolerance edge at most 82 (100 pairs), inside the budget of 200.
+    # pairs need at most 12 Newton steps (200 pairs) and rank-one pairs at
+    # the tolerance edge at most 32 (120 pairs), inside the budget of 200.
     for index in range(12):
         rng = trial_rng(0, "acc6:8", index)
         a, b = random_effect(8, seed=rng), random_effect(8, seed=rng)

@@ -18,8 +18,10 @@ its own interpreter with PYTHONPATH=<checkout>/src, over the same streams:
 
 For each stream it prints the table of (BASE verdict -> CHANGE verdict)
 transitions and, per checkout, the largest residual a Coexistent verdict
-reports.  Each child also re-checks its own certificates: every witness
-against ``verify_mn``, and every dual, where the checkout has them, against
+reports and the solver's Newton steps: their total over the stream, and
+their median and maximum over the decisions that took at least one.  Each
+child also re-checks its own certificates: every witness against
+``verify_mn``, and every dual, where the checkout has them, against
 ``verify_dual``; the failures are counted per stream.  The exit status is 1
 if a definite verdict flipped or became Indeterminate, or a certificate
 failed, and 0 otherwise.
@@ -31,6 +33,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from collections import Counter
@@ -117,10 +120,11 @@ def emit() -> dict:
     verify_dual = getattr(co, "verify_dual", None)
     out = {}
     for stream in STREAMS:
-        verdicts, bad, worst = [], 0, 0.0
+        verdicts, steps, bad, worst = [], [], 0, 0.0
         for a, b, fast in _pairs(stream):
             res = co.decide(a, b, fast_paths=fast)
             verdicts.append(res.verdict.value)
+            steps.append(res.iterations)
             if res.coexistent:
                 worst = max(worst, res.residual)
             if res.witness is not None and not co.verify_mn(a, b, *res.witness):
@@ -128,7 +132,7 @@ def emit() -> dict:
             dual = getattr(res, "dual", None)
             if dual is not None and not verify_dual(a, b, *dual):
                 bad += 1
-        out[stream] = {"verdicts": verdicts, "bad_certificates": bad,
+        out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
                        "max_witness_residual": worst}
     return out
 
@@ -147,6 +151,14 @@ def _table(base, change) -> tuple[str, bool]:
         worse |= lost
         lines.append(f"  {old:>13} -> {new:<13} {count:6d}{'  <-- lost' if lost else ''}")
     return "\n".join(lines), worse
+
+
+def _steps(steps) -> str:
+    taken = sorted(x for x in steps if x > 0)
+    if not taken:
+        return "total 0"
+    return (f"total {sum(taken)}, median {statistics.median(taken):g} "
+            f"and max {taken[-1]} over {len(taken)}")
 
 
 def main(argv=None) -> int:
@@ -179,6 +191,8 @@ def main(argv=None) -> int:
         print(f"{stream}: {len(change[stream]['verdicts'])} decisions, "
               f"certificates failing (base, change): {bad}, "
               f"largest Coexistent residual (base, change): ({worst[0]:.3g}, {worst[1]:.3g})")
+        print(f"  Newton steps: base {_steps(base[stream]['steps'])}; "
+              f"change {_steps(change[stream]['steps'])}")
         print(table)
         failed |= worse or bad[1] > 0
     return 1 if failed else 0
