@@ -39,6 +39,10 @@ _VERDICT_CODES = {
 }
 
 
+# The commands that read --tol; the others, check among them, reject it.
+_TOL_COMMANDS = ("stratify", "reconstruct")
+
+
 class UsageError(Exception):
     pass
 
@@ -54,11 +58,7 @@ def _load_effect(path):
 
 def _solver_config(args) -> SolverConfig:
     try:
-        return SolverConfig(
-            feas_tol=args.feas_tol,
-            sep_tol=args.sep_tol,
-            max_cycles=args.max_cycles,
-        )
+        return SolverConfig(max_cycles=args.max_cycles)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -77,19 +77,10 @@ def _tol_kwargs(args) -> dict:
     return {} if args.tol is None else {"tol": args.tol}
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol,
-                        help="residual below which a witness proves coexistence")
-    parser.add_argument("--sep-tol", type=float, default=SolverConfig.sep_tol,
-                        help="a dual must prove the margin below -sep-tol")
-    parser.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
-                        help="Newton-step budget of the solver")
-
-
 def _cmd_check(args) -> int:
     a = _load_effect(args.a)
     b = _load_effect(args.b)
-    res = decide(a, b, _solver_config(args), **_tol_kwargs(args))
+    res = decide(a, b, _solver_config(args))
     print(f"verdict: {res.verdict.value}")
     print(f"reason: {res.reason.value}")
     print(f"residual: {res.residual:.6g}")
@@ -142,9 +133,8 @@ def _cmd_reconstruct(args) -> int:
     spec = document_preserver_spec(read_document(args.map_spec))
     if isinstance(spec, BlockCounterexampleSpec):
         raise UsageError("cannot reconstruct a cross-dimensional map")
-    dim = args.dim if args.dim is not None else spec.dim
     try:
-        result = reconstruct(preserver_handle(spec), dim, **_tol_kwargs(args))
+        result = reconstruct(preserver_handle(spec), spec.dim, **_tol_kwargs(args))
     except ValueError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return 1
@@ -199,14 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for anything randomized")
     parser.add_argument("--tol", type=_tolerance, default=None,
-                        help="order, classification or fit tolerance, finite and >= 0 "
-                             "(default: the command's own)")
+                        help="classification (stratify) or fit (reconstruct) tolerance, "
+                             "finite and >= 0 (default: the command's own)")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("check", help="decide whether two effects coexist")
     p.add_argument("a", help="matrix file for the first effect")
     p.add_argument("b", help="matrix file for the second effect")
-    _add_solver_flags(p)
+    p.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
+                   help="Newton-step budget of the solver")
     p.add_argument("--cert", metavar="PATH",
                    help="write the witness certificate document here")
     p.set_defaults(handler=_cmd_check)
@@ -227,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit a conjugation to a black-box preserver map")
     p.add_argument("--map-spec", required=True, dest="map_spec",
                    help="map spec document to treat as the black box")
-    p.add_argument("--dim", type=int, default=None,
-                   help="dimension override (defaults to the map document's)")
     p.add_argument("--out", metavar="PATH", help="write the fitted unitary here")
     p.set_defaults(handler=_cmd_reconstruct)
 
@@ -238,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200, help="trials per suite")
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
-    _add_solver_flags(p)
+    p.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
+                   help="Newton-step budget of the solver")
     p.add_argument("--out", metavar="PATH", help="write the report document here")
     p.set_defaults(handler=_cmd_harness)
 
@@ -251,6 +241,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise UsageError("a subcommand is required (see --help)")
+        if args.tol is not None and args.command not in _TOL_COMMANDS:
+            raise UsageError(f"{args.command} takes no tolerance; --tol applies to "
+                             f"{' and '.join(_TOL_COMMANDS)}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

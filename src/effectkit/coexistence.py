@@ -13,7 +13,7 @@ the joint-measurability semidefinite program (Wolf, Perez-Garcia and
 Fernandez, PRL 103, 230402 (2009)).  The pair coexists exactly when
 t* >= 0.  Both definite answers of the solver carry a certificate that can
 be checked without trusting it: a witness M whose residual is below
-feas_tol, or a dual point (Z2, Z3, Z4) that verify_dual accepts, which
+FEAS_TOL, or a dual point (Z2, Z3, Z4) that verify_dual accepts, which
 proves t* < 0 by weak duality (Boyd and Vandenberghe, Convex Optimization,
 sections 5.8 and 11).
 """
@@ -50,19 +50,17 @@ from .hermitian import (
 )
 from .strata import classify, is_projection, is_scalar
 
-# Solver defaults.  feas_tol and sep_tol are deliberately separated by two
-# orders of magnitude: a margin t* certified to lie between -sep_tol and
-# -feas_tol is reported as Indeterminate rather than rounded to a verdict.
-# max_cycles is the Newton-step budget: the acceptance streams (dims 2-5)
-# take at most 19 steps, and rank-one pairs whose sum peaks within 1e-7 to
-# 1e-2 of 1 at most 35; at dim 8 the counts were 12 and 32.
+# Verdict tolerances, fixed so that each witness and dual decide returns
+# passes its verifier at CERT_TOL: ORDER_TOL <= FEAS_TOL < CERT_TOL <
+# SEP_TOL.  A margin t* certified to lie between -SEP_TOL and -FEAS_TOL is
+# reported as Indeterminate rather than rounded to a verdict.  MAX_CYCLES is
+# the default Newton-step budget: the acceptance streams (dims 2-5) take at
+# most 19 steps, and rank-one pairs whose sum peaks within 1e-7 to 1e-2 of 1
+# at most 35; at dim 8 the counts were 12 and 32.
 FEAS_TOL = 1e-7
 SEP_TOL = 1e-5
-MAX_CYCLES = 200
-
-# Certificates are checked at a looser tolerance than the solver works to,
-# leaving room for the eigenvalue clamp applied when packaging witnesses.
 CERT_TOL = 1e-6
+MAX_CYCLES = 200
 
 # Barrier path: the weight s on the margin grows by _PATH_FACTOR whenever the
 # Newton decrement at the current iterate is below _CENTRED, that is when the
@@ -97,13 +95,11 @@ class Reason(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    feas_tol: float = FEAS_TOL
-    sep_tol: float = SEP_TOL
+    """The Newton-step budget; the verdict tolerances are module constants."""
+
     max_cycles: int = MAX_CYCLES
 
     def __post_init__(self):
-        if not 0.0 < self.feas_tol < self.sep_tol:
-            raise ValueError("need 0 < feas_tol < sep_tol")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be positive")
 
@@ -113,11 +109,10 @@ class CoexistenceVerdict:
     """How decide settled a pair.
 
     ``iterations`` counts the solver's Newton steps (0 for the exact rules
-    and for a corner candidate).  ``dual`` is the
-    solver's certificate (Z2, Z3, Z4) for verify_dual, normalised so that
-    the traces of Z1 = Z2 + Z3 - Z4, Z2, Z3 and Z4 sum to 1; it is None
-    unless the solver proved the pair (or, in decide_blockwise, one block
-    pair) NotCoexistent.
+    and for a corner candidate).  ``dual`` is the solver's certificate (Z2,
+    Z3, Z4) for verify_dual, normalised so that the traces of Z1 = Z2 + Z3 -
+    Z4, Z2, Z3 and Z4 sum to 1; it is None unless the solver proved the pair
+    (or, in decide_blockwise, one block pair) NotCoexistent.
     """
 
     verdict: Verdict
@@ -179,7 +174,7 @@ def _rank_one_peak(e: Effect) -> np.ndarray | None:
     return e.eig.eigenvectors[:, -1]
 
 
-def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
+def fast_path(a, b) -> CoexistenceVerdict | None:
     """Exact structural rules, tried in priority order; None if none apply.
 
     (1) a scalar effect coexists with everything; (2) a projection coexists
@@ -187,10 +182,9 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
     (4) two rank-one effects with distinct images coexist exactly when their
     sum is still an effect.  Each positive verdict carries a closed-form
     witness.  Rules 1, 2 and 4 read the effects' cached eigenvalues through
-    the strata predicates, and rule 4 their top eigenvectors; tol governs
-    only rule 4's peak test.
+    the strata predicates, and rule 4 their top eigenvectors.  Rule 4's
+    peak test allows ORDER_TOL, well inside what verify_mn accepts.
     """
-    require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
@@ -227,7 +221,7 @@ def fast_path(a, b, tol: float = ORDER_TOL) -> CoexistenceVerdict | None:
         overlap = abs(np.vdot(pa, pb)) ** 2
         if 1.0 - overlap >= DETECTION_TOL:
             peak = float(np.linalg.eigvalsh(am + bm)[-1])
-            if peak <= 1.0 + tol:
+            if peak <= 1.0 + ORDER_TOL:
                 # A + B <= I makes M = 0, N = B a valid split.
                 return _coexistent(Reason.RANK_ONE_RULE,
                                    np.zeros_like(am), bm)
@@ -259,7 +253,7 @@ def _residual(x, base) -> float:
     return max(0.0, float(-lo))
 
 
-def _corner_witness(am, bm, k, base, feas_tol):
+def _corner_witness(am, bm, k, base):
     """Closed-form candidates that certify easy instances without iterating.
 
     M = 0 is feasible whenever A + B <= I, M = A whenever A <= B (and
@@ -270,19 +264,19 @@ def _corner_witness(am, bm, k, base, feas_tol):
     stacked eigvalsh of K, B - A, A - K+ and B - K+ screens all four; the
     first candidate that passes its screen is confirmed against the full
     residual, so a hit is an exact certificate, not a heuristic, and the
-    first candidate whose residual is below feas_tol is the one returned.
+    first candidate whose residual is below FEAS_TOL is the one returned.
     It also settles pairs whose margin t* is 0, which the barrier's strictly
     feasible iterates only approach from below.  Returns (M, residual), or
     None.
     """
     kp = _psd_kernel(k)
     lo = _eigvalsh_lo(np.stack((k, bm - am, am - kp, bm - kp)))
-    screens = (lo[0, -1] <= feas_tol, lo[1, 0] >= -feas_tol,
-               lo[1, -1] <= feas_tol, min(lo[2, 0], lo[3, 0]) >= -feas_tol)
+    screens = (lo[0, -1] <= FEAS_TOL, lo[1, 0] >= -FEAS_TOL,
+               lo[1, -1] <= FEAS_TOL, min(lo[2, 0], lo[3, 0]) >= -FEAS_TOL)
     for cand, passes in zip((np.zeros_like(k), am, bm, kp), screens):
         if passes:
             r = _residual(cand, base)
-            if r < feas_tol:
+            if r < FEAS_TOL:
                 return cand, r
     return None
 
@@ -330,7 +324,7 @@ def _hessian(wi, wsq, inv_w) -> np.ndarray:
     return hess
 
 
-def _barrier(am, bm, k, base, cfg: SolverConfig):
+def _barrier(am, bm, k, base, max_cycles: int):
     """Newton steps with a line search along the central path of the margin problem.
 
     Minimises -s t - sum_i log det S_i over (M, t), where S_i = C_i +
@@ -354,7 +348,8 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
     above.
 
     Returns (verdict, M or None, residual, Newton steps, dual or None).
-    Runs under _lapack_checked, through _solve.
+    Runs under _lapack_checked, through _solve; a numerically singular
+    Newton system ends it Indeterminate.
     """
     n = am.shape[0]
     eye = np.eye(n)
@@ -372,9 +367,9 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
             # arithmetic; the eigensolver can no longer resolve them.
             return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
         lower = w.min() + t  # the smallest eigenvalue of the C_i + sigma_i M
-        if lower > -cfg.feas_tol:
+        if lower > -FEAS_TOL:
             r = _residual(m, base)
-            if r < cfg.feas_tol:
+            if r < FEAS_TOL:
                 return Verdict.COEXISTENT, m, r, steps, None
 
         # Newton system in the coordinates (x, t) of (M, t).
@@ -391,10 +386,18 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
             s = traces.sum()  # the start's gradient in t vanishes
         while True:
             grad[-1] = traces.sum() - s
-            delta = _solve1(hess, -grad, signature="dd->d")
-            decrement_sq = -grad @ delta
-            if not math.isfinite(decrement_sq):
-                raise np.linalg.LinAlgError("Newton system has no finite solution")
+            try:
+                delta = _solve1(hess, -grad, signature="dd->d")
+                decrement_sq = -grad @ delta
+                if not math.isfinite(decrement_sq):
+                    raise np.linalg.LinAlgError("Newton system has no finite solution")
+            except np.linalg.LinAlgError:
+                # Only a Hessian singular to working precision (smallest
+                # eigenvalue <= size * eps * largest) ends Indeterminate.
+                h = _eigvalsh_lo(hess)
+                if h[0] > hess.shape[0] * np.finfo(float).eps * h[-1]:
+                    raise
+                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
             if decrement_sq >= _CENTRED * _CENTRED:
                 break
             s *= _PATH_FACTOR
@@ -410,17 +413,17 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
             z = wi[1:] - u[1:] @ g[1:] @ uh[1:]  # Z2, Z3, Z4, all PSD
             norm = 2.0 * z[:2].trace(axis1=1, axis2=2).real.sum()
             value = np.vdot(z, base[1:]).real / norm  # base[1:] = A, B, -K
-            if value <= -cfg.sep_tol:
+            if value <= -SEP_TOL:
                 dual = z / norm
                 dual.flags.writeable = False
                 if verify_dual(am, bm, *dual):
                     return (Verdict.NOT_COEXISTENT, None, _residual(m, base),
                             steps, tuple(dual))
-            elif lower > -cfg.sep_tol and value < -cfg.feas_tol:
-                # t* lies between -sep_tol and -feas_tol: neither certificate
+            elif lower > -SEP_TOL and value < -FEAS_TOL:
+                # t* lies between -SEP_TOL and -FEAS_TOL: neither certificate
                 # can exist at these tolerances.
                 return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-        if steps >= cfg.max_cycles:
+        if steps >= max_cycles:
             return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
 
         # Backtracking from just inside the boundary, where 1 + a mu = 0.
@@ -435,15 +438,15 @@ def _barrier(am, bm, k, base, cfg: SolverConfig):
 
 
 @_lapack_checked()
-def _solve(am, bm, cfg: SolverConfig):
+def _solve(am, bm, max_cycles: int):
     """Corner candidates, then the barrier method, on one ordered pair."""
     n = am.shape[0]
     k = am + bm - np.eye(n)
     base = np.stack((np.zeros_like(k), am, bm, -k))
-    corner = _corner_witness(am, bm, k, base, cfg.feas_tol)
+    corner = _corner_witness(am, bm, k, base)
     if corner is not None:
         return (Verdict.COEXISTENT, *corner, 0, None)
-    return _barrier(am, bm, k, base, cfg)
+    return _barrier(am, bm, k, base, max_cycles)
 
 
 def _order_key(m: np.ndarray):
@@ -451,16 +454,18 @@ def _order_key(m: np.ndarray):
 
 
 def decide(a, b, cfg: SolverConfig | None = None, *,
-           fast_paths: bool = True, tol: float = ORDER_TOL) -> CoexistenceVerdict:
+           fast_paths: bool = True) -> CoexistenceVerdict:
     """Decide coexistence of two effects of equal dimension.
 
     Exact fast paths are consulted first unless disabled.  The solver
     returns Coexistent only with a witness pair (M, N), and NotCoexistent
     only with a dual (Z2, Z3, Z4) that verify_dual accepts.  It reports
-    Indeterminate when it certifies that the margin t* lies between -sep_tol
-    and -feas_tol, where neither certificate can exist, when its Newton-step
-    budget cfg.max_cycles runs out, or when its line search cannot keep the
-    iterate strictly feasible.
+    Indeterminate when it certifies that the margin t* lies between -SEP_TOL
+    and -FEAS_TOL, where neither certificate can exist, when its Newton-step
+    budget cfg.max_cycles runs out, or when its Newton system is singular or
+    its line search cannot keep the iterate strictly feasible.  The
+    tolerances are module constants, so no setting yields a witness or a
+    dual that verify_mn or verify_dual rejects.
 
     A Newton step solves a dense real system of size n^2 + 1: O(n^6) time
     and O(n^4) memory, measured at about 0.3 ms for n = 8, the harness's
@@ -473,15 +478,13 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     put into a canonical order first; this makes decide(A, B) and
     decide(B, A) return identical verdicts, residuals and step counts.
     """
-    require_tolerance(tol)
     ea, eb = as_effect(a), as_effect(b)
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    if cfg is None:
-        cfg = SolverConfig()
+    max_cycles = MAX_CYCLES if cfg is None else cfg.max_cycles
 
     if fast_paths:
-        hit = fast_path(ea, eb, tol=tol)
+        hit = fast_path(ea, eb)
         if hit is not None:
             return hit
 
@@ -490,7 +493,7 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     if swapped:
         first, second = second, first
 
-    verdict, m_raw, residual, steps, dual = _solve(first, second, cfg)
+    verdict, m_raw, residual, steps, dual = _solve(first, second, max_cycles)
 
     if verdict is Verdict.COEXISTENT:
         # A witness M for the solved orientation is also one for the caller's
@@ -500,14 +503,13 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
                            eb.matrix - m_raw, residual, steps)
     if dual is not None and swapped:
         # Z2 pairs with the first effect and Z3 with the second; K is symmetric.
-        z2, z3, z4 = dual
-        dual = (z3, z2, z4)
+        dual = (dual[1], dual[0], dual[2])
     return CoexistenceVerdict(verdict, Reason.FEASIBILITY_SOLVER, None,
                               float(residual), steps, dual)
 
 
-def decide_blockwise(a_blocks, b_blocks, cfg: SolverConfig | None = None, *,
-                     fast_paths: bool = True) -> CoexistenceVerdict:
+def decide_blockwise(a_blocks, b_blocks,
+                     cfg: SolverConfig | None = None) -> CoexistenceVerdict:
     """Decide coexistence of two block-diagonal effects block by block.
 
     The direct sums coexist exactly when every block pair does.  A single
@@ -524,7 +526,7 @@ def decide_blockwise(a_blocks, b_blocks, cfg: SolverConfig | None = None, *,
     results = []
     iterations = 0
     for i, (blk_a, blk_b) in enumerate(zip(a_blocks, b_blocks)):
-        res = decide(blk_a, blk_b, cfg, fast_paths=fast_paths)
+        res = decide(blk_a, blk_b, cfg)
         iterations += res.iterations
         if res.verdict is Verdict.NOT_COEXISTENT:
             dual = None

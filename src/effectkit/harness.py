@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coexistence import (
+    FEAS_TOL,
+    SEP_TOL,
     SolverConfig,
     Verdict,
     decide,
@@ -546,8 +548,8 @@ def config_document(cfg: HarnessConfig) -> dict:
         "trials_per_suite": cfg.trials_per_suite,
         "seed": cfg.seed,
         "solver": {
-            "feas_tol": cfg.solver.feas_tol,
-            "sep_tol": cfg.solver.sep_tol,
+            "feas_tol": FEAS_TOL,
+            "sep_tol": SEP_TOL,
             "max_cycles": cfg.solver.max_cycles,
         },
         "suites": list(cfg.suites),

@@ -27,11 +27,12 @@ from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 # Tolerance ladder, tightest rung first: every spectral and exact-rule
-# detection threshold in the package.  Callers can override per call.
+# detection threshold in the package.  Callers can override the order and
+# strata predicates' defaults per call; fast_path's thresholds are fixed.
 HERMITICITY_TOL = 1e-12     # require_hermitian, so every validated input
 RECONSTRUCTION_TOL = 1e-10  # an eigendecomposition reconstructs its input
 EFFECT_SPECTRUM_TOL = 1e-9  # Effect: spectrum snapped onto [0, 1] within it
-ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak (its tol)
+ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak test
 DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
                             # image-overlap tests; apply_ges_bijective's scalar
                             # test; interior_perturbation's invertibility test

@@ -186,7 +186,7 @@ def test_usage_errors_exit_64(effects, tmp_path, capsys):
     assert main(["harness", "--dims", "1,2"]) == 64
     assert main(["harness", "--suites", "nope"]) == 64
     pa, pb = (str(path) for path in effects)
-    for flags in (["--max-cycles", "0"], ["--feas-tol", "nan"]):
+    for flags in (["--max-cycles", "0"], ["--max-cycles", "-1"]):
         assert main(["check", pa, pb, *flags]) == 64
         assert main(["harness", "--dims", "2", "--trials", "1", *flags]) == 64
     proj = tmp_path / "proj.mat"
@@ -195,6 +195,34 @@ def test_usage_errors_exit_64(effects, tmp_path, capsys):
         assert main(["--tol", tol, "stratify", str(proj)]) == 64
         assert main(["--tol", tol, "check", pa, pb]) == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verdict_tolerances_take_no_flags(tmp_path, capsys):
+    # A = x pp*, B = x qq* with |<p, q>|^2 = 1/2 peak at 1.0005: NotCoexistent.
+    # check's tolerances are fixed, so no flag can turn it into a Coexistent
+    # verdict whose witness the verifiers reject.
+    x = 1.0005 / (1.0 + np.sqrt(0.5))
+    v = np.array([np.sqrt(0.5), np.sqrt(0.5)])
+    paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
+    write_matrix(paths[0], Effect(np.diag([x, 0.0]).astype(complex)))
+    write_matrix(paths[1], Effect(x * np.outer(v, v).astype(complex)))
+    pa, pb = map(str, paths)
+    assert main(["check", pa, pb]) == 1
+    assert main(["--tol", "1e-3", "check", pa, pb]) == 64
+    assert "check takes no tolerance" in capsys.readouterr().err
+    assert main(["--tol", "1e-3", "check", pa, pb, "--cert", str(tmp_path / "c.json")]) == 64
+    assert main(["check", pa, pb, "--feas-tol", "1e-2"]) == 64
+    assert main(["check", pa, pb, "--feas-tol", "1e-2", "--sep-tol", "1e-1"]) == 64
+    assert main(["harness", "--dims", "2", "--trials", "1", "--sep-tol", "0.1"]) == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reconstruct_takes_the_spec_dimension(tmp_path, capsys):
+    spec_path = tmp_path / "std.spec"
+    write_document(spec_path, preserver_spec_document(random_standard_spec(2, seed=5)))
+    assert main(["reconstruct", "--map-spec", str(spec_path), "--dim", "3"]) == 64
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(["reconstruct", "--map-spec", str(spec_path)]) == 0
 
 
 def test_console_script_entry_point(tmp_path):

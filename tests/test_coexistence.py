@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from effectkit import coexistence, hermitian
 from effectkit.coexistence import (
     CERT_TOL,
+    FEAS_TOL,
+    SEP_TOL,
     CoexistenceVerdict,
     InvalidCertificate,
     Reason,
@@ -151,6 +153,44 @@ def test_barrier_raises_when_lapack_fails(monkeypatch, gufunc):
         decide(a, b)
 
 
+@pytest.mark.parametrize("pivot", [0.0, 1e-320])
+def test_singular_newton_system_ends_indeterminate(monkeypatch, pivot):
+    # With the Hessian's t row and column zeroed but for the pivot, the
+    # Newton system is singular to working precision: a zero pivot makes
+    # LAPACK's solve fail, a subnormal one gives an infinite step.  Either
+    # is a numerical dead end like a failed line search, so decide ends
+    # Indeterminate instead of raising.
+    a, b = _criterion6_pair(3, 70)
+    real = coexistence._hessian
+
+    def singular(*args):
+        hess = real(*args)
+        hess[-1, :] = hess[:, -1] = 0.0
+        hess[-1, -1] = pivot
+        return hess
+
+    monkeypatch.setattr(coexistence, "_hessian", singular)
+    res = decide(a, b)
+    assert res.verdict == Verdict.INDETERMINATE
+    assert res.reason == Reason.FEASIBILITY_SOLVER
+    assert res.witness is None and res.dual is None
+
+
+def test_rank_one_pair_just_past_the_peak_is_not_coexistent():
+    # A = x pp*, B = x qq* with |<p, q>|^2 = 1/2 peak at x (1 + sqrt(1/2)) =
+    # 1.0005.  Rule 4 and the solver both prove the pair NotCoexistent.
+    # Rule 4's peak test allows only ORDER_TOL: an allowance of 1e-3 would
+    # return the witness (0, B), which verify_mn rejects.
+    x = 1.0005 / (1.0 + np.sqrt(0.5))
+    a, b = rank_one_pair(x, x, 0.5)
+    ruled = decide(a, b)
+    assert ruled.verdict == Verdict.NOT_COEXISTENT
+    assert ruled.reason == Reason.RANK_ONE_RULE
+    solved = decide(a, b, fast_paths=False)
+    assert solved.verdict == Verdict.NOT_COEXISTENT
+    assert verify_dual(a, b, *solved.dual)
+
+
 @pytest.mark.parametrize("caller, poisoned_call", [("_corner_witness", 1), ("_barrier", 2)])
 def test_solver_raises_when_a_screen_or_step_eigvalsh_fails(monkeypatch, caller, poisoned_call):
     # The corner screen's stacked eigvalsh (the one _corner_witness makes
@@ -176,11 +216,11 @@ def test_solver_raises_when_a_screen_or_step_eigvalsh_fails(monkeypatch, caller,
 _RESIDUAL = coexistence._residual
 
 
-def _corner_by_residual(am, bm, k, base, feas_tol):
+def _corner_by_residual(am, bm, k, base):
     """The corner check without its screen: each candidate's full residual."""
     for cand in (np.zeros_like(k), am, bm, hermitian._psd_kernel(k)):
         r = _RESIDUAL(cand, base)
-        if r < feas_tol:
+        if r < FEAS_TOL:
             return cand, r
     return None
 
@@ -216,7 +256,6 @@ def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
     # lets through only the candidate it returns: one full residual on a
     # hit, none on a miss.
     rng = np.random.default_rng(90 + dim)
-    feas_tol = SolverConfig().feas_tol
     picked = set()
     residual = coexistence._residual
     confirmed = []
@@ -228,14 +267,14 @@ def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
         base = np.stack((np.zeros_like(k), am, bm, -k))
         confirmed.clear()
         with hermitian._lapack_checked():
-            got = coexistence._corner_witness(am, bm, k, base, feas_tol)
+            got = coexistence._corner_witness(am, bm, k, base)
             assert len(confirmed) == (got is not None)
-            want = _corner_by_residual(am, bm, k, base, feas_tol)
+            want = _corner_by_residual(am, bm, k, base)
         assert (got is None) == (want is None)
         if got is None:
             continue
         assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1] < feas_tol
+        assert got[1] == want[1] < FEAS_TOL
         res = decide(a, b, fast_paths=False)
         assert res.iterations == 0 and verify_mn(a, b, *res.witness)
         picked.add(next(i for i, cand in enumerate(
@@ -436,7 +475,7 @@ def test_solver_on_sampled_coexistent_pairs():
         for b in sample_coexistent(a, 2, seed=200 + s):
             res = decide(a, b, fast_paths=False)
             assert res.verdict == Verdict.COEXISTENT
-            assert res.residual <= SolverConfig.feas_tol
+            assert res.residual <= FEAS_TOL
             assert verify_mn(a, b, *res.witness)
 
 
@@ -444,7 +483,7 @@ def test_solver_residual_bounds_on_not_pairs():
     a, b = rank_one_pair(0.6, 0.6, 0.81)
     res = decide(a, b, fast_paths=False)
     assert res.verdict == Verdict.NOT_COEXISTENT
-    assert res.residual >= SolverConfig.sep_tol
+    assert res.residual >= SEP_TOL
     assert res.witness is None
 
 
@@ -467,8 +506,6 @@ def test_decide_dimension_mismatch():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(feas_tol=1e-4, sep_tol=1e-5)
     with pytest.raises(ValueError):
         SolverConfig(max_cycles=0)
 

@@ -20,6 +20,9 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from effectkit.coexistence import (
+    CERT_TOL,
+    FEAS_TOL,
+    SEP_TOL,
     Reason,
     Verdict,
     decide,
@@ -247,8 +250,6 @@ _TOL_TAKERS = {
     # infinite tol used to clamp it onto diag(1, 0) instead of raising.
     "Effect": lambda a, b, tol: Effect(np.diag([5.0, -3.0]), tol=tol),
     "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol),
-    "decide": lambda a, b, tol: decide(a, b, tol=tol),
-    "fast_path": lambda a, b, tol: fast_path(a, b, tol=tol),
     "classify": lambda a, b, tol: classify(a, tol),
     "is_scalar": lambda a, b, tol: is_scalar(a, tol),
     "is_projection": lambda a, b, tol: is_projection(a, tol),
@@ -274,7 +275,6 @@ def test_good_tolerances_pass_and_inf_stays_internal():
     assert res.verdict == Verdict.COEXISTENT and res.reason == Reason.RANK_ONE_RULE
     for tol in (0.0, 0, 1e-300, ORDER_TOL, 1.0):
         assert require_tolerance(tol) == tol
-        assert decide(a, b, tol=tol).verdict == Verdict.COEXISTENT
     assert classify(a, 0.0) == (0, 1)
     # The order predicates skip require_hermitian's check with tol=inf.
     assert require_hermitian(b.matrix - a.matrix, tol=math.inf).shape == (2, 2)
@@ -302,6 +302,35 @@ def _rank_one_edge_pair(dim, alpha, beta, target, rng):
     q = (math.sqrt(1.0 - one_minus_c) * np.exp(2j * np.pi * rng.random()) * p
          + math.sqrt(one_minus_c) * r)
     return Effect(alpha * np.outer(p, p.conj())), Effect(beta * np.outer(q, q.conj()))
+
+
+def test_verdict_tolerances_are_ordered():
+    # Every witness and dual decide returns passes its verifier at CERT_TOL:
+    # - ORDER_TOL <= FEAS_TOL: rule 4's witness (0, B) violates I - A - B >= 0
+    #   by at most ORDER_TOL, no more than a solver witness's residual;
+    # - FEAS_TOL < CERT_TOL: a solver witness has residual below FEAS_TOL
+    #   before the eigenvalue clamp, and the gap absorbs the clamp's rounding;
+    # - CERT_TOL < SEP_TOL: a dual is accepted once it bounds the margin by
+    #   -SEP_TOL and verified at CERT_TOL, so its rounding has room too.
+    assert ORDER_TOL <= FEAS_TOL < CERT_TOL < SEP_TOL
+
+
+@seed(109)
+@settings(deadline=None, max_examples=60)
+@given(dim=st.integers(2, 5), u=st.floats(-12.0, -9.5),
+       alpha=st.floats(0.3, 0.999), beta=st.floats(0.3, 0.999),
+       s=st.integers(0, 2**32 - 1))
+def test_rank_one_rule_witness_just_above_the_peak(dim, u, alpha, beta, s):
+    # Rank-one pairs whose sum peaks at 1 + 10^u, inside rule 4's ORDER_TOL
+    # allowance: with fast paths on, every Coexistent witness verifies.
+    pair = _rank_one_edge_pair(dim, alpha, beta, 1.0 + 10.0 ** u,
+                               np.random.default_rng(s))
+    assume(pair is not None)
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        res = decide(x, y)
+        assert res.coexistent and res.reason == Reason.RANK_ONE_RULE
+        assert verify_mn(x, y, *res.witness)
 
 
 @seed(107)

@@ -22,14 +22,18 @@ reports and the solver's Newton steps: their total over the stream, and
 their median and maximum over the decisions that took at least one.  Each
 child also re-checks its own certificates: every witness against
 ``verify_mn``, and every dual, where the checkout has them, against
-``verify_dual``; the failures are counted per stream.  The exit status is 1
-if a definite verdict flipped or became Indeterminate, or a certificate
-failed, and 0 otherwise.
+``verify_dual``; the failures are counted per stream.  Each child also
+hashes every decision's verdict, reason, residual (``float.hex``), Newton
+steps, witness bytes and dual bytes into one sha256 per stream, and the
+script prints ``bytes: same`` or ``bytes: differ`` for the stream; that
+line is informational.  The exit status is 1 if a definite verdict flipped
+or became Indeterminate, or a certificate failed, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -113,14 +117,25 @@ def _pairs(stream):
                 yield a, b, False
 
 
+def _fingerprint(digest, res, dual) -> None:
+    """Feed one decision's verdict, reason, residual, steps and certificate bytes."""
+    parts = [e.matrix for e in res.witness or ()] + list(dual or ())
+    head = (res.verdict.value, res.reason.value, float(res.residual).hex(),
+            res.iterations, res.witness is not None, dual is not None)
+    digest.update(repr(head).encode())
+    for x in parts:
+        digest.update(x.tobytes())
+
+
 def emit() -> dict:
-    """Verdicts and certificate failures of the effectkit on sys.path."""
+    """Verdicts, certificate failures and byte fingerprints of the effectkit on sys.path."""
     import effectkit.coexistence as co
 
     verify_dual = getattr(co, "verify_dual", None)
     out = {}
     for stream in STREAMS:
         verdicts, steps, bad, worst = [], [], 0, 0.0
+        digest = hashlib.sha256()
         for a, b, fast in _pairs(stream):
             res = co.decide(a, b, fast_paths=fast)
             verdicts.append(res.verdict.value)
@@ -132,8 +147,9 @@ def emit() -> dict:
             dual = getattr(res, "dual", None)
             if dual is not None and not verify_dual(a, b, *dual):
                 bad += 1
+            _fingerprint(digest, res, dual)
         out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
-                       "max_witness_residual": worst}
+                       "max_witness_residual": worst, "sha256": digest.hexdigest()}
     return out
 
 
@@ -193,6 +209,8 @@ def main(argv=None) -> int:
               f"largest Coexistent residual (base, change): ({worst[0]:.3g}, {worst[1]:.3g})")
         print(f"  Newton steps: base {_steps(base[stream]['steps'])}; "
               f"change {_steps(change[stream]['steps'])}")
+        same = base[stream]["sha256"] == change[stream]["sha256"]
+        print(f"  bytes: {'same' if same else 'differ'}")
         print(table)
         failed |= worse or bad[1] > 0
     return 1 if failed else 0
