@@ -55,22 +55,27 @@ from .strata import classify, is_projection, is_scalar
 # SEP_TOL.  A margin t* certified to lie between -SEP_TOL and -FEAS_TOL is
 # reported as Indeterminate rather than rounded to a verdict.  MAX_CYCLES is
 # the default Newton-step budget: the acceptance streams (dims 2-5) take at
-# most 19 steps, and rank-one pairs whose sum peaks within 1e-7 to 1e-2 of 1
-# at most 35; at dim 8 the counts were 12 and 32.
+# most 12 steps, and rank-one pairs whose sum peaks within 1e-7 to 1e-2 of 1
+# at most 27; at dim 8 the counts were 13 and 26.
 FEAS_TOL = 1e-7
 SEP_TOL = 1e-5
 CERT_TOL = 1e-6
 MAX_CYCLES = 200
 
-# Barrier path: the weight s on the margin grows by _PATH_FACTOR whenever the
-# Newton decrement at the current iterate is below _CENTRED, that is when the
-# iterate is close enough to the central point of the current s.  The line
+# Barrier path: the iterate starts at the meet of A and B with t _START_GAP
+# below the smallest slack, and the weight s on the margin grows by
+# _PATH_FACTOR whenever the Newton decrement at the current iterate is below
+# _CENTRED, that is when the iterate is close enough to the central point of
+# the current s.  Of the factors 20, 50 and 100 and the gaps 0.01, 0.1 and
+# 1, only 50 and 0.1 kept the largest step count within one of the best on
+# every stream they were tuned on (CHANGES.md has the sweep).  The line
 # search's first trial goes _BOUNDARY of the way to the boundary of the
 # feasible set (or takes the full step), and a trial is accepted once the
 # barrier falls by _ARMIJO times the step times the squared decrement, else
 # the step shrinks by _BACKTRACK.  A step shorter than _MIN_STEP counts as
 # numerical failure.
-_PATH_FACTOR = 20.0
+_PATH_FACTOR = 50.0
+_START_GAP = 0.1
 _CENTRED = 0.5
 _BOUNDARY = 0.99
 _ARMIJO = 0.25
@@ -205,13 +210,13 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
     # Rule 2: projections coexist exactly with their commutant.
     if is_projection(ea, DETECTION_TOL) or is_projection(eb, DETECTION_TOL):
         if commute:
-            m = _commuting_witness(am, bm)
+            m = _meet(am, bm)
             return _coexistent(Reason.PROJECTION_RULE, m, bm - m)
         return _not_coexistent(Reason.PROJECTION_RULE, comm)
 
     # Rule 3: commuting effects always coexist.
     if commute:
-        m = _commuting_witness(am, bm)
+        m = _meet(am, bm)
         return _coexistent(Reason.COMMUTE_RULE, m, bm - m)
 
     # Rule 4: rank-one pair with distinct images.
@@ -230,10 +235,14 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
     return None
 
 
-def _commuting_witness(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """Eigenvalue-wise minimum of two commuting effects via |A - B|."""
-    d = am - bm
-    w, v = np.linalg.eigh(d)
+@_lapack_checked()
+def _meet(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
+    """(A + B - |A - B|)/2, the eigenvalue-wise minimum of commuting A and B.
+
+    For any Hermitian pair A - M and B - M are the positive parts of A - B
+    and B - A, so M <= A and M <= B however the pair fails to commute.
+    """
+    w, v = _eigh_lo(am - bm)
     absd = (v * np.abs(w)) @ v.conj().T
     return (am + bm - absd) / 2.0
 
@@ -261,13 +270,16 @@ def _corner_witness(am, bm, k, base):
     pairs crowding the identity.  A and B are effects, so of each
     candidate's four slacks only these can be violated: -K for M = 0, B - A
     for M = A, A - B for M = B, and A - K+ and B - K+ for M = K+.  One
-    stacked eigvalsh of K, B - A, A - K+ and B - K+ screens all four; the
-    first candidate that passes its screen is confirmed against the full
-    residual, so a hit is an exact certificate, not a heuristic, and the
-    first candidate whose residual is below FEAS_TOL is the one returned.
-    It also settles pairs whose margin t* is 0, which the barrier's strictly
-    feasible iterates only approach from below.  Returns (M, residual), or
-    None.
+    stacked eigvalsh of K, B - A, A - K+ and B - K+ screens all four.  If
+    none is confirmed, the fifth candidate is the meet (A + B - |A - B|)/2
+    (see _meet): its slacks A - M and B - M are PSD for every pair, so one
+    stacked eigvalsh of M and M - K screens it.  The first candidate that
+    passes its screen is confirmed against the full residual, so a hit is
+    an exact certificate, not a heuristic, and the first candidate whose
+    residual is below FEAS_TOL is the one returned.  It also settles pairs
+    whose margin t* is 0, which the barrier's strictly feasible iterates
+    only approach from below.  Returns (M, residual) on a hit and (meet,
+    None) on a miss, the meet being the barrier's starting point.
     """
     kp = _psd_kernel(k)
     lo = _eigvalsh_lo(np.stack((k, bm - am, am - kp, bm - kp)))
@@ -278,7 +290,12 @@ def _corner_witness(am, bm, k, base):
             r = _residual(cand, base)
             if r < FEAS_TOL:
                 return cand, r
-    return None
+    meet = _meet(am, bm)
+    if _eigvalsh_lo(np.stack((meet, meet - k)))[:, 0].min() >= -FEAS_TOL:
+        r = _residual(meet, base)
+        if r < FEAS_TOL:
+            return meet, r
+    return meet, None
 
 
 @functools.lru_cache(maxsize=8)
@@ -324,16 +341,20 @@ def _hessian(wi, wsq, inv_w) -> np.ndarray:
     return hess
 
 
-def _barrier(am, bm, k, base, max_cycles: int):
+def _barrier(am, bm, base, start, max_cycles: int):
     """Newton steps with a line search along the central path of the margin problem.
 
     Minimises -s t - sum_i log det S_i over (M, t), where S_i = C_i +
     sigma_i M - tI are the four slacks (C = 0, A, B, -K; sigma = +1, -1,
     -1, +1), for a weight s that grows by _PATH_FACTOR each time the
-    iterate is centred.  Every iterate is strictly feasible, so t is a
-    lower bound on the margin t*.  The Newton system is real, of size
-    n^2 + 1 in the coordinates of _coordinates plus t; building it
-    (_hessian) takes O(n^4) time and memory, solving it O(n^6) time.
+    iterate is centred.  It starts at M = start, the meet that
+    _corner_witness returns on a miss (it meets M <= A and M <= B, and
+    certifies every commuting pair), with t _START_GAP below the smallest
+    eigenvalue of the C_i + sigma_i M.  Every iterate is strictly
+    feasible, so t is a lower bound on the margin t*.  The Newton system
+    is real, of size n^2 + 1 in the coordinates of _coordinates plus t;
+    building it (_hessian) takes O(n^4) time and memory, solving it
+    O(n^6) time.
 
     One stacked eigh of the slacks S_i = V_i diag(w_i) V_i* per iterate
     gives W_i = S_i^-1 and U_i = V_i diag(w_i^-1/2).  With mu the
@@ -354,8 +375,8 @@ def _barrier(am, bm, k, base, max_cycles: int):
     n = am.shape[0]
     eye = np.eye(n)
     weights, coords = _coordinates(n)
-    slacks = base + _SIGNS * ((am + bm) / 4.0)
-    t = _eigvalsh_lo(slacks).min() - 1.0
+    slacks = base + _SIGNS * start
+    t = _eigvalsh_lo(slacks).min() - _START_GAP
     slacks -= t * eye
     s = None
     steps = 0
@@ -443,10 +464,10 @@ def _solve(am, bm, max_cycles: int):
     n = am.shape[0]
     k = am + bm - np.eye(n)
     base = np.stack((np.zeros_like(k), am, bm, -k))
-    corner = _corner_witness(am, bm, k, base)
-    if corner is not None:
-        return (Verdict.COEXISTENT, *corner, 0, None)
-    return _barrier(am, bm, k, base, max_cycles)
+    m, residual = _corner_witness(am, bm, k, base)
+    if residual is not None:
+        return Verdict.COEXISTENT, m, residual, 0, None
+    return _barrier(am, bm, base, m, max_cycles)
 
 
 def _order_key(m: np.ndarray):
@@ -470,9 +491,10 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     A Newton step solves a dense real system of size n^2 + 1: O(n^6) time
     and O(n^4) memory, measured at about 0.3 ms for n = 8, the harness's
     largest dimension, and 70 ms with 43 MB of arrays for n = 32.  Pairs
-    that reach the barrier take a median of 6 and at most 19 steps on the
-    acceptance streams, and up to 35 on rank-one pairs whose margin lies
-    within 1e-2 of 0, so dimensions up to about 32 are practical.
+    that reach the barrier take a median of 2 to 4 and at most 12 steps on
+    the acceptance streams (13 at dim 8), and up to 27 on rank-one pairs
+    whose margin lies within 1e-2 of 0, so dimensions up to about 32 are
+    practical.
 
     The solver's iteration path depends on argument order, so the pair is
     put into a canonical order first; this makes decide(A, B) and
@@ -631,6 +653,7 @@ def mn_to_efg(m, n, a, b, tol: float = CERT_TOL):
     input fails its constraints at tol.  Returns plain Hermitian arrays so
     that the round-trip with efg_to_mn is exact to machine precision.
     """
+    require_tolerance(tol)
     am, bm, mm, nm = _check_mn(a, b, m, n, tol)
     return am - mm, nm, mm
 
@@ -640,6 +663,7 @@ def efg_to_mn(e, f, g, a, b, tol: float = CERT_TOL):
 
     Inverse of mn_to_efg: returns (G, F).
     """
+    require_tolerance(tol)
     _, _, _, fm, gm = _check_efg(a, b, e, f, g, tol)
     return gm, fm
 
@@ -706,6 +730,7 @@ def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
 
 def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:
     """Whether (M, N) certifies coexistence of (A, B) at tolerance tol."""
+    require_tolerance(tol)
     try:
         _check_mn(a, b, m, n, tol)
     except InvalidCertificate:
@@ -715,6 +740,7 @@ def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:
 
 def verify_efg(a, b, e, f, g, tol: float = CERT_TOL) -> bool:
     """Whether (E, F, G) certifies coexistence of (A, B) at tolerance tol."""
+    require_tolerance(tol)
     try:
         _check_efg(a, b, e, f, g, tol)
     except InvalidCertificate:

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from effectkit import coexistence, hermitian
@@ -78,16 +78,17 @@ def test_rank_one_frozen_peaks_and_verdicts():
 
 # Solver verdicts and step counts, frozen: the rank-one cases above with
 # fast paths off, then (dim, index, verdict, steps) for pairs of criterion
-# 6's generic stream, which the corner check does not settle.  A step is a
-# Newton step; a corner candidate takes none.
-FROZEN_RANK_ONE_CYCLES = (0, 7, 7)
+# 6's generic stream that the first four corner candidates do not settle;
+# the meet settles dim 2 #63.  A step is a Newton step; a corner candidate
+# takes none.
+FROZEN_RANK_ONE_CYCLES = (0, 4, 8)
 FROZEN_GENERIC = (
-    (2, 63, Verdict.COEXISTENT, 3),
+    (2, 63, Verdict.COEXISTENT, 0),
     (2, 89, Verdict.COEXISTENT, 6),
-    (2, 166, Verdict.COEXISTENT, 7),
+    (2, 166, Verdict.COEXISTENT, 3),
     (3, 70, Verdict.NOT_COEXISTENT, 7),
-    (3, 51, Verdict.COEXISTENT, 8),
-    (4, 13, Verdict.NOT_COEXISTENT, 12),
+    (3, 51, Verdict.COEXISTENT, 3),
+    (4, 13, Verdict.NOT_COEXISTENT, 7),
     (5, 17, Verdict.NOT_COEXISTENT, 9),
 )
 
@@ -216,13 +217,25 @@ def test_solver_raises_when_a_screen_or_step_eigvalsh_fails(monkeypatch, caller,
 _RESIDUAL = coexistence._residual
 
 
+def _corner_candidates(am, bm, k):
+    return (np.zeros_like(k), am, bm, hermitian._psd_kernel(k), coexistence._meet(am, bm))
+
+
 def _corner_by_residual(am, bm, k, base):
-    """The corner check without its screen: each candidate's full residual."""
-    for cand in (np.zeros_like(k), am, bm, hermitian._psd_kernel(k)):
+    """The corner check without its screens: each candidate's full residual."""
+    cands = _corner_candidates(am, bm, k)
+    for cand in cands:
         r = _RESIDUAL(cand, base)
         if r < FEAS_TOL:
             return cand, r
-    return None
+    return cands[-1], None
+
+
+def _rotated(values, rng):
+    """A Haar-rotated Hermitian matrix with the given spectrum."""
+    u = random_unitary(len(values), seed=rng)
+    m = (u * values) @ u.conj().T
+    return (m + m.conj().T) / 2.0
 
 
 def _corner_pairs(dim, rng):
@@ -246,15 +259,28 @@ def _corner_pairs(dim, rng):
         yield Effect(a), Effect(r)
     for index in range(80):
         yield rule_instance(RULE_FAMILIES[index % len(RULE_FAMILIES)], dim, rng)[:2]
+    for index in range(60):
+        # A small but for one spike, B in [0.5, 0.95]: K+ spills into the
+        # directions where A is small, and only the meet certifies some.
+        # Lowering every other pair by the meet's smallest eigenvalue
+        # lowers the meet by as much: margin 0.
+        spiky = rng.uniform(0.0, 0.08, dim)
+        spiky[-1] = rng.uniform(0.6, 0.95)
+        a, b = _rotated(spiky, rng), _rotated(rng.uniform(0.5, 0.95, dim), rng)
+        if index % 2:
+            with hermitian._lapack_checked():
+                low = np.linalg.eigvalsh(coexistence._meet(a, b))[0]
+            a, b = a - max(low, 0.0) * eye, b - max(low, 0.0) * eye
+        yield Effect(a), Effect(b)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
-    # The screen reads four slacks; the full residual reads sixteen.  On
+    # The screens read six slacks; the full residuals read twenty.  On
     # every pair both must pick the same candidate, bytes and residual
-    # included, and every candidate must be picked somewhere.  The screen
-    # lets through only the candidate it returns: one full residual on a
-    # hit, none on a miss.
+    # included, and every candidate must be picked somewhere.  The screens
+    # let through only the candidate they return: one full residual on a
+    # hit, none on a miss, which returns the meet for the barrier's start.
     rng = np.random.default_rng(90 + dim)
     picked = set()
     residual = coexistence._residual
@@ -268,19 +294,36 @@ def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
         confirmed.clear()
         with hermitian._lapack_checked():
             got = coexistence._corner_witness(am, bm, k, base)
-            assert len(confirmed) == (got is not None)
+            assert len(confirmed) == (got[1] is not None)
             want = _corner_by_residual(am, bm, k, base)
-        assert (got is None) == (want is None)
-        if got is None:
-            continue
+            cands = _corner_candidates(am, bm, k)
         assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1] < FEAS_TOL
+        assert got[1] == want[1]
+        if got[1] is None:
+            continue
+        assert got[1] < FEAS_TOL
         res = decide(a, b, fast_paths=False)
         assert res.iterations == 0 and verify_mn(a, b, *res.witness)
-        picked.add(next(i for i, cand in enumerate(
-            (np.zeros_like(k), am, bm, hermitian._psd_kernel(k)))
-            if cand.tobytes() == got[0].tobytes()))
-    assert picked == {0, 1, 2, 3}
+        picked.add(next(i for i, cand in enumerate(cands)
+                        if cand.tobytes() == got[0].tobytes()))
+    assert picked == {0, 1, 2, 3, 4}
+
+
+@seed(62)
+@settings(deadline=None, max_examples=100)
+@given(dim=st.integers(2, 8), s=st.integers(0, 2**32 - 1),
+       zeros=st.integers(0, 7), scale=st.floats(0.1, 1.0))
+def test_meet_lies_below_both_effects(dim, s, zeros, scale):
+    # A - M and B - M are the positive parts of A - B and B - A, so of the
+    # meet's four slacks only M >= 0 and M >= K, the two the corner screen
+    # reads, can fail, whether or not the pair commutes.
+    rng = np.random.default_rng(s)
+    a = random_effect(dim, (0, min(zeros, dim - 1)), seed=rng).matrix
+    b = scale * random_effect(dim, seed=rng).matrix
+    assume(np.linalg.norm(a @ b - b @ a) > 1e-6)
+    with hermitian._lapack_checked():
+        m = coexistence._meet(a, b)
+    assert np.linalg.eigvalsh(np.stack((a - m, b - m)))[:, 0].min() >= -1e-12
 
 
 def _basis(n):

@@ -27,7 +27,10 @@ from effectkit.coexistence import (
     Verdict,
     decide,
     fast_path,
+    efg_to_mn,
+    mn_to_efg,
     verify_dual,
+    verify_efg,
     verify_mn,
 )
 from effectkit.harness import trial_rng
@@ -245,6 +248,7 @@ def _rank_one_pair():
     return a, Effect(turn @ a.matrix @ turn.T)
 
 
+_SEVENS = np.full((2, 2), 7.0)
 _TOL_TAKERS = {
     # Effect and as_effect are given a spectrum far outside [0, 1]: a NaN or
     # infinite tol used to clamp it onto diag(1, 0) instead of raising.
@@ -258,6 +262,12 @@ _TOL_TAKERS = {
     "strictly_less": lambda a, b, tol: strictly_less(a, b, tol),
     "reconstruct": lambda a, b, tol: reconstruct(
         preserver_handle(random_standard_spec(2, seed=31)), 2, tol=tol),
+    # The certificate checks are given a constant 7 for every part: an
+    # infinite tol used to accept it as a certificate of any pair.
+    "verify_mn": lambda a, b, tol: verify_mn(a, b, _SEVENS, _SEVENS, tol),
+    "verify_efg": lambda a, b, tol: verify_efg(a, b, _SEVENS, _SEVENS, _SEVENS, tol),
+    "mn_to_efg": lambda a, b, tol: mn_to_efg(_SEVENS, _SEVENS, a, b, tol),
+    "efg_to_mn": lambda a, b, tol: efg_to_mn(_SEVENS, _SEVENS, _SEVENS, a, b, tol),
 }
 
 
@@ -409,8 +419,8 @@ def test_solver_at_the_full_rank_edge(dim, s, us):
 
 def test_solver_at_the_harness_maximum_dimension():
     # The harness takes dims up to 8.  Measured there: criterion 6's generic
-    # pairs need at most 12 Newton steps (200 pairs) and rank-one pairs at
-    # the tolerance edge at most 32 (120 pairs), inside the budget of 200.
+    # pairs need at most 13 Newton steps (200 pairs) and rank-one pairs at
+    # the tolerance edge at most 26 (120 pairs), inside the budget of 200.
     for index in range(12):
         rng = trial_rng(0, "acc6:8", index)
         a, b = random_effect(8, seed=rng), random_effect(8, seed=rng)

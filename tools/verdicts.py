@@ -14,7 +14,12 @@ its own interpreter with PYTHONPATH=<checkout>/src, over the same streams:
 - ``generic``: round 0 of seed 0 of the benchmark's ``generic`` workload;
 - ``edge``: rank-one pairs whose sum peaks at 1 +- 10^u, u uniform in
   [-7, -2] (120 per dimension, dims 2-5 and 8, half above 1), decided with
-  fast paths off: the solver's tolerance boundary.
+  fast paths off: the solver's tolerance boundary;
+- ``mixed``: 600 pairs at dims 2-7 (100 per dimension) whose spectra are
+  scaled by a factor in [0.4, 1.6], clipped to [0, 1] and partly zeroed,
+  so that many effects are rank-deficient or touch 1, decided with fast
+  paths off.  The solver's constants were tuned on ``generic``, ``acc6``
+  and ``edge``; this stream is held out from that tuning.
 
 For each stream it prints the table of (BASE verdict -> CHANGE verdict)
 transitions and, per checkout, the largest residual a Coexistent verdict
@@ -24,10 +29,12 @@ child also re-checks its own certificates: every witness against
 ``verify_mn``, and every dual, where the checkout has them, against
 ``verify_dual``; the failures are counted per stream.  Each child also
 hashes every decision's verdict, reason, residual (``float.hex``), Newton
-steps, witness bytes and dual bytes into one sha256 per stream, and the
-script prints ``bytes: same`` or ``bytes: differ`` for the stream; that
-line is informational.  The exit status is 1 if a definite verdict flipped
-or became Indeterminate, or a certificate failed, and 0 otherwise.
+steps, witness bytes and dual bytes, and the script prints ``bytes: same``
+or ``bytes: differ`` for the stream, and the same comparison over the
+decisions BASE settles in 0 Newton steps (exact rules and corner
+candidates); these lines are informational.  The exit status is 1 if a
+definite verdict flipped or became Indeterminate, or a certificate failed,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -44,9 +51,10 @@ from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-STREAMS = ("acc1", "acc2", "acc6", "generic", "edge")
+STREAMS = ("acc1", "acc2", "acc6", "generic", "edge", "mixed")
 DIMS = (2, 3, 4, 5)
 EDGE_DIMS = (2, 3, 4, 5, 8)
+MIXED_DIMS = (2, 3, 4, 5, 6, 7)
 
 
 def _edge_pairs(dim, count, seed):
@@ -80,6 +88,24 @@ def _edge_pairs(dim, count, seed):
         made += 1
 
 
+def _mixed_pairs(dim, count, seed):
+    """Randomly rotated effects with scaled, clipped, partly zeroed spectra."""
+    import numpy as np
+    from effectkit.hermitian import Effect
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            u, _ = np.linalg.qr(g)
+            w = np.clip(rng.uniform(0.4, 1.6) * rng.random(dim), 0.0, 1.0)
+            w[:rng.integers(0, dim)] = 0.0
+            m = (u * w) @ u.conj().T
+            pair.append(Effect((m + m.conj().T) / 2.0))
+        yield tuple(pair)
+
+
 def _pairs(stream):
     """(a, b, fast_paths) for every decision of one stream, in order."""
     from effectkit.harness import RULE_FAMILIES, rule_instance, trial_rng
@@ -111,20 +137,26 @@ def _pairs(stream):
 
         for case in Generic(0, HERE / ".bench_work").round_inputs(0):
             yield case.a, case.b, True
-    else:  # edge
+    elif stream == "edge":
         for dim in EDGE_DIMS:
             for a, b in _edge_pairs(dim, 120, seed=dim):
                 yield a, b, False
+    else:  # mixed
+        for dim in MIXED_DIMS:
+            for a, b in _mixed_pairs(dim, 100, seed=100 + dim):
+                yield a, b, False
 
 
-def _fingerprint(digest, res, dual) -> None:
-    """Feed one decision's verdict, reason, residual, steps and certificate bytes."""
+def _fingerprint(res, dual) -> str:
+    """sha256 of one decision's verdict, reason, residual, steps and certificate bytes."""
+    digest = hashlib.sha256()
     parts = [e.matrix for e in res.witness or ()] + list(dual or ())
     head = (res.verdict.value, res.reason.value, float(res.residual).hex(),
             res.iterations, res.witness is not None, dual is not None)
     digest.update(repr(head).encode())
     for x in parts:
         digest.update(x.tobytes())
+    return digest.hexdigest()
 
 
 def emit() -> dict:
@@ -134,8 +166,7 @@ def emit() -> dict:
     verify_dual = getattr(co, "verify_dual", None)
     out = {}
     for stream in STREAMS:
-        verdicts, steps, bad, worst = [], [], 0, 0.0
-        digest = hashlib.sha256()
+        verdicts, steps, prints, bad, worst = [], [], [], 0, 0.0
         for a, b, fast in _pairs(stream):
             res = co.decide(a, b, fast_paths=fast)
             verdicts.append(res.verdict.value)
@@ -147,9 +178,9 @@ def emit() -> dict:
             dual = getattr(res, "dual", None)
             if dual is not None and not verify_dual(a, b, *dual):
                 bad += 1
-            _fingerprint(digest, res, dual)
+            prints.append(_fingerprint(res, dual))
         out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
-                       "max_witness_residual": worst, "sha256": digest.hexdigest()}
+                       "max_witness_residual": worst, "fingerprints": prints}
     return out
 
 
@@ -209,8 +240,13 @@ def main(argv=None) -> int:
               f"largest Coexistent residual (base, change): ({worst[0]:.3g}, {worst[1]:.3g})")
         print(f"  Newton steps: base {_steps(base[stream]['steps'])}; "
               f"change {_steps(change[stream]['steps'])}")
-        same = base[stream]["sha256"] == change[stream]["sha256"]
-        print(f"  bytes: {'same' if same else 'differ'}")
+        same = base[stream]["fingerprints"] == change[stream]["fingerprints"]
+        settled = [(old, new) for old, new, steps in zip(
+            base[stream]["fingerprints"], change[stream]["fingerprints"], base[stream]["steps"])
+            if steps == 0]
+        same_settled = all(old == new for old, new in settled)
+        print(f"  bytes: {'same' if same else 'differ'}; over the {len(settled)} "
+              f"decisions base settles in 0 steps: {'same' if same_settled else 'differ'}")
         print(table)
         failed |= worse or bad[1] > 0
     return 1 if failed else 0
