@@ -14,6 +14,7 @@ from .hermitian import (
     HERMITICITY_TOL,
     INTERIOR_MARGIN,
     ORDER_TOL,
+    DimensionMismatch,
     Effect,
     EigenDecomposition,
     NotHermitian,
@@ -51,12 +52,11 @@ from .strata import (
 from .coexistence import (
     CERT_TOL,
     FEAS_TOL,
-    MAX_CYCLES,
+    MAX_STEPS,
     SEP_TOL,
     CoexistenceVerdict,
     InvalidCertificate,
     Reason,
-    SolverConfig,
     Verdict,
     decide,
     decide_blockwise,

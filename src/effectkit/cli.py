@@ -1,9 +1,10 @@
 """Command line interface: check, stratify, apply, reconstruct, harness.
 
 Exit codes follow sysexits conventions where they apply: 64 for malformed
-arguments, 66 for unreadable or malformed input files, 70 for unexpected
-internal failures.  The check subcommand encodes its verdict as 0
-(Coexistent), 1 (NotCoexistent) or 2 (Indeterminate).
+arguments, 66 for unreadable or malformed input files (files whose
+dimensions do not match among them), 70 for unexpected internal failures.
+The check subcommand encodes its verdict as 0 (Coexistent), 1
+(NotCoexistent) or 2 (Indeterminate).
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ import argparse
 import sys
 import traceback
 
-from .coexistence import SolverConfig, Verdict, decide, mn_to_efg
-from .harness import SUITE_NAMES, HarnessConfig, run_all, write_report
-from .hermitian import NotHermitian, SpectrumOutOfRange, as_effect, require_tolerance
+from .coexistence import Verdict, decide, mn_to_efg
+from .harness import SUITE_NAMES, HarnessConfig, run_all, trial_rng, write_report
+from .hermitian import (
+    CLASSIFY_TOL,
+    DimensionMismatch,
+    NotHermitian,
+    SpectrumOutOfRange,
+    as_effect,
+    require_tolerance,
+)
 from .matrixio import (
     FileFormatError,
     dumps_document,
@@ -25,7 +33,7 @@ from .matrixio import (
     write_matrix,
 )
 from .preservers import BlockCounterexampleSpec, document_preserver_spec, preserver_handle
-from .reconstruction import reconstruct
+from .reconstruction import FIT_TOL, reconstruct, verify_reconstruction
 from .strata import classify, freedom_dimension
 
 EX_USAGE = 64
@@ -56,13 +64,6 @@ def _load_effect(path):
     return as_effect(read_matrix(path))
 
 
-def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(max_cycles=args.max_cycles)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _tolerance(text: str) -> float:
     """Value of --tol: a finite number >= 0."""
     try:
@@ -72,15 +73,10 @@ def _tolerance(text: str) -> float:
             f"expected a finite number >= 0, got {text!r}") from None
 
 
-def _tol_kwargs(args) -> dict:
-    """--tol as a keyword argument; without it the callee's default applies."""
-    return {} if args.tol is None else {"tol": args.tol}
-
-
 def _cmd_check(args) -> int:
     a = _load_effect(args.a)
     b = _load_effect(args.b)
-    res = decide(a, b, _solver_config(args))
+    res = decide(a, b)
     print(f"verdict: {res.verdict.value}")
     print(f"reason: {res.reason.value}")
     print(f"residual: {res.residual:.6g}")
@@ -106,7 +102,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_stratify(args) -> int:
     e = _load_effect(args.a)
-    p, q = classify(e, **_tol_kwargs(args))
+    p, q = classify(e, CLASSIFY_TOL if args.tol is None else args.tol)
     print(f"p: {p}")
     print(f"q: {q}")
     print(f"freedom_dimension: {freedom_dimension(e.dim, p, q)}")
@@ -133,14 +129,24 @@ def _cmd_reconstruct(args) -> int:
     spec = document_preserver_spec(read_document(args.map_spec))
     if isinstance(spec, BlockCounterexampleSpec):
         raise UsageError("cannot reconstruct a cross-dimensional map")
+    handle = preserver_handle(spec)
+    tol = FIT_TOL if args.tol is None else args.tol
     try:
-        result = reconstruct(preserver_handle(spec), spec.dim, **_tol_kwargs(args))
+        result = reconstruct(handle, spec.dim, tol)
     except ValueError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
+        return 1
+    # trial_rng takes any integer seed; default_rng rejects a negative one.
+    rng = trial_rng(args.seed, "reconstruct", 0)
+    gap = verify_reconstruction(handle, result, trials=20, seed=rng)
+    if not gap <= tol:
+        print(f"reconstruction failed: the fit misses the map by {gap:.3g}"
+              f" on random effects (tolerance {tol:g})", file=sys.stderr)
         return 1
     print(f"antiunitary: {'true' if result.antiunitary else 'false'}")
     print(f"perp: {'true' if result.perp else 'false'}")
     print(f"residual: {result.residual:.6g}")
+    print(f"verify_gap: {gap:.6g}")
     if args.out:
         write_matrix(args.out, result.unitary)
         print(f"unitary written to {args.out}")
@@ -160,7 +166,6 @@ def _cmd_harness(args) -> int:
             dims=_parse_csv(args.dims, int, "--dims"),
             trials_per_suite=args.trials,
             seed=args.seed,
-            solver=_solver_config(args),
             suites=_parse_csv(args.suites, str, "--suites") if args.suites else SUITE_NAMES,
         )
     except ValueError as exc:
@@ -196,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether two effects coexist")
     p.add_argument("a", help="matrix file for the first effect")
     p.add_argument("b", help="matrix file for the second effect")
-    p.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
-                   help="Newton-step budget of the solver")
     p.add_argument("--cert", metavar="PATH",
                    help="write the witness certificate document here")
     p.set_defaults(handler=_cmd_check)
@@ -227,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200, help="trials per suite")
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
-    p.add_argument("--max-cycles", type=int, default=SolverConfig.max_cycles,
-                   help="Newton-step budget of the solver")
     p.add_argument("--out", metavar="PATH", help="write the report document here")
     p.set_defaults(handler=_cmd_harness)
 
@@ -252,7 +253,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (OSError, FileFormatError, NotHermitian, SpectrumOutOfRange) as exc:
+    except (OSError, FileFormatError, NotHermitian, SpectrumOutOfRange,
+            DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_NOINPUT
     except Exception:

@@ -41,6 +41,7 @@ from .hermitian import (
     require_tolerance,
     sqrt_psd,
     _clipped,
+    _effect_of_dim,
     _eigh_lo,
     _eigvalsh_lo,
     _lapack_checked,
@@ -53,14 +54,15 @@ from .strata import classify, is_projection, is_scalar
 # Verdict tolerances, fixed so that each witness and dual decide returns
 # passes its verifier at CERT_TOL: ORDER_TOL <= FEAS_TOL < CERT_TOL <
 # SEP_TOL.  A margin t* certified to lie between -SEP_TOL and -FEAS_TOL is
-# reported as Indeterminate rather than rounded to a verdict.  MAX_CYCLES is
-# the default Newton-step budget: the acceptance streams (dims 2-5) take at
-# most 12 steps, and rank-one pairs whose sum peaks within 1e-7 to 1e-2 of 1
-# at most 27; at dim 8 the counts were 13 and 26.
+# reported as Indeterminate rather than rounded to a verdict.  MAX_STEPS is
+# the Newton-step budget, read by _barrier at each call: the acceptance
+# streams (dims 2-5) take at most 12 steps, and rank-one pairs whose sum
+# peaks within 1e-7 to 1e-2 of 1 at most 27; at dim 8 the counts were 13
+# and 26.
 FEAS_TOL = 1e-7
 SEP_TOL = 1e-5
 CERT_TOL = 1e-6
-MAX_CYCLES = 200
+MAX_STEPS = 200
 
 # Barrier path: the iterate starts at the meet of A and B with t _START_GAP
 # below the smallest slack, and the weight s on the margin grows by
@@ -96,17 +98,6 @@ class Reason(str, Enum):
     RANK_ONE_RULE = "RankOneRule"
     FEASIBILITY_SOLVER = "FeasibilitySolver"
     BLOCKWISE = "Blockwise"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The Newton-step budget; the verdict tolerances are module constants."""
-
-    max_cycles: int = MAX_CYCLES
-
-    def __post_init__(self):
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be positive")
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,8 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
     the strata predicates, and rule 4 their top eigenvectors.  Rule 4's
     peak test allows ORDER_TOL, well inside what verify_mn accepts.
     """
-    ea, eb = as_effect(a), as_effect(b)
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
+    ea = as_effect(a)
+    eb = _effect_of_dim(b, ea.dim)
     am, bm = ea.matrix, eb.matrix
 
     # Rule 1: scalars.  tI admits the witness M = tB, N = (1-t)B; for scalar
@@ -341,7 +331,7 @@ def _hessian(wi, wsq, inv_w) -> np.ndarray:
     return hess
 
 
-def _barrier(am, bm, base, start, max_cycles: int):
+def _barrier(am, bm, base, start):
     """Newton steps with a line search along the central path of the margin problem.
 
     Minimises -s t - sum_i log det S_i over (M, t), where S_i = C_i +
@@ -444,7 +434,7 @@ def _barrier(am, bm, base, start, max_cycles: int):
                 # t* lies between -SEP_TOL and -FEAS_TOL: neither certificate
                 # can exist at these tolerances.
                 return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-        if steps >= max_cycles:
+        if steps >= MAX_STEPS:
             return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
 
         # Backtracking from just inside the boundary, where 1 + a mu = 0.
@@ -459,7 +449,7 @@ def _barrier(am, bm, base, start, max_cycles: int):
 
 
 @_lapack_checked()
-def _solve(am, bm, max_cycles: int):
+def _solve(am, bm):
     """Corner candidates, then the barrier method, on one ordered pair."""
     n = am.shape[0]
     k = am + bm - np.eye(n)
@@ -467,26 +457,25 @@ def _solve(am, bm, max_cycles: int):
     m, residual = _corner_witness(am, bm, k, base)
     if residual is not None:
         return Verdict.COEXISTENT, m, residual, 0, None
-    return _barrier(am, bm, base, m, max_cycles)
+    return _barrier(am, bm, base, m)
 
 
 def _order_key(m: np.ndarray):
     return (float(np.trace(m).real), m.tobytes())
 
 
-def decide(a, b, cfg: SolverConfig | None = None, *,
-           fast_paths: bool = True) -> CoexistenceVerdict:
+def decide(a, b, *, fast_paths: bool = True) -> CoexistenceVerdict:
     """Decide coexistence of two effects of equal dimension.
 
     Exact fast paths are consulted first unless disabled.  The solver
     returns Coexistent only with a witness pair (M, N), and NotCoexistent
     only with a dual (Z2, Z3, Z4) that verify_dual accepts.  It reports
     Indeterminate when it certifies that the margin t* lies between -SEP_TOL
-    and -FEAS_TOL, where neither certificate can exist, when its Newton-step
-    budget cfg.max_cycles runs out, or when its Newton system is singular or
-    its line search cannot keep the iterate strictly feasible.  The
-    tolerances are module constants, so no setting yields a witness or a
-    dual that verify_mn or verify_dual rejects.
+    and -FEAS_TOL, where neither certificate can exist, when it has taken
+    MAX_STEPS Newton steps, or when its Newton system is singular or its
+    line search cannot keep the iterate strictly feasible.  The tolerances
+    and the budget are module constants, not arguments: no setting yields a
+    witness or a dual that verify_mn or verify_dual rejects.
 
     A Newton step solves a dense real system of size n^2 + 1: O(n^6) time
     and O(n^4) memory, measured at about 0.3 ms for n = 8, the harness's
@@ -500,10 +489,8 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     put into a canonical order first; this makes decide(A, B) and
     decide(B, A) return identical verdicts, residuals and step counts.
     """
-    ea, eb = as_effect(a), as_effect(b)
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    max_cycles = MAX_CYCLES if cfg is None else cfg.max_cycles
+    ea = as_effect(a)
+    eb = _effect_of_dim(b, ea.dim)
 
     if fast_paths:
         hit = fast_path(ea, eb)
@@ -515,7 +502,7 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
     if swapped:
         first, second = second, first
 
-    verdict, m_raw, residual, steps, dual = _solve(first, second, max_cycles)
+    verdict, m_raw, residual, steps, dual = _solve(first, second)
 
     if verdict is Verdict.COEXISTENT:
         # A witness M for the solved orientation is also one for the caller's
@@ -530,8 +517,7 @@ def decide(a, b, cfg: SolverConfig | None = None, *,
                               float(residual), steps, dual)
 
 
-def decide_blockwise(a_blocks, b_blocks,
-                     cfg: SolverConfig | None = None) -> CoexistenceVerdict:
+def decide_blockwise(a_blocks, b_blocks) -> CoexistenceVerdict:
     """Decide coexistence of two block-diagonal effects block by block.
 
     The direct sums coexist exactly when every block pair does.  A single
@@ -548,7 +534,7 @@ def decide_blockwise(a_blocks, b_blocks,
     results = []
     iterations = 0
     for i, (blk_a, blk_b) in enumerate(zip(a_blocks, b_blocks)):
-        res = decide(blk_a, blk_b, cfg)
+        res = decide(blk_a, blk_b)
         iterations += res.iterations
         if res.verdict is Verdict.NOT_COEXISTENT:
             dual = None
@@ -713,6 +699,16 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
         raise InvalidCertificate(f"dual bound < -{tol:g}", bound + tol)
 
 
+def _passes(check, *args, tol: float) -> bool:
+    """Whether check(*args, tol) raises no InvalidCertificate; a bad tol raises."""
+    require_tolerance(tol)
+    try:
+        check(*args, tol)
+    except InvalidCertificate:
+        return False
+    return True
+
+
 def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
     """Whether (Z2, Z3, Z4) proves that A and B do not coexist.
 
@@ -720,32 +716,17 @@ def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
     -tol.  Fails closed: NaN, infinite or wrongly shaped parts, non-Hermitian
     A or B, and the dual of a coexistent pair all give False.
     """
-    require_tolerance(tol)
-    try:
-        _check_dual(a, b, z2, z3, z4, tol)
-    except InvalidCertificate:
-        return False
-    return True
+    return _passes(_check_dual, a, b, z2, z3, z4, tol=tol)
 
 
 def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:
     """Whether (M, N) certifies coexistence of (A, B) at tolerance tol."""
-    require_tolerance(tol)
-    try:
-        _check_mn(a, b, m, n, tol)
-    except InvalidCertificate:
-        return False
-    return True
+    return _passes(_check_mn, a, b, m, n, tol=tol)
 
 
 def verify_efg(a, b, e, f, g, tol: float = CERT_TOL) -> bool:
     """Whether (E, F, G) certifies coexistence of (A, B) at tolerance tol."""
-    require_tolerance(tol)
-    try:
-        _check_efg(a, b, e, f, g, tol)
-    except InvalidCertificate:
-        return False
-    return True
+    return _passes(_check_efg, a, b, e, f, g, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +760,17 @@ def interior_perturbation(a, b, eps: float) -> np.ndarray:
     Conjugates B into the frame of A, clamps the resulting spectrum into
     [delta, 1 - delta], and maps back; delta is chosen so the output moves
     by less than eps in operator norm while both C and A - C stay invertible.
+    A and B are checked as require_hermitian checks them: a non-finite or
+    non-Hermitian input raises NotHermitian.
     """
     require_tolerance(eps, "eps", positive=True)
-    am, bm = as_matrix(a), as_matrix(b)
-    w, v = np.linalg.eigh((am + am.conj().T) / 2.0)
+    am, bm = require_hermitian(a), require_hermitian(b)
+    w, v = np.linalg.eigh(am)
     if w[0] < DETECTION_TOL:
         raise ValueError(f"A must be invertible: smallest eigenvalue {w[0]:.6g}")
-    if np.linalg.eigvalsh((bm + bm.conj().T) / 2.0)[0] < -ORDER_TOL:
+    if np.linalg.eigvalsh(bm)[0] < -ORDER_TOL:
         raise ValueError("need B >= 0")
-    if np.linalg.eigvalsh((am - bm + (am - bm).conj().T) / 2.0)[0] < -ORDER_TOL:
+    if np.linalg.eigvalsh(am - bm)[0] < -ORDER_TOL:
         raise ValueError("need B <= A")
 
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T

@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coexistence import (
     FEAS_TOL,
+    MAX_STEPS,
     SEP_TOL,
-    SolverConfig,
     Verdict,
     decide,
     decide_blockwise,
@@ -77,7 +77,6 @@ class HarnessConfig:
     dims: tuple[int, ...] = (2, 3, 4, 5)
     trials_per_suite: int = 200
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
@@ -239,7 +238,7 @@ def _suite_lemma_properties(cfg: HarnessConfig, index: int, rng) -> TrialOutcome
         a = random_effect(dim, seed=rng)
         b = a if (index // 4) % 2 else orthocomplement(a)
         truth = Verdict.COEXISTENT
-    res = decide(a, b, cfg.solver)
+    res = decide(a, b)
     if res.verdict is not truth:
         return _fail(f"expected {truth.value}, got {res.verdict.value}"
                      f" ({res.reason.value})", res.residual, a=a, b=b)
@@ -255,7 +254,7 @@ def _suite_lem3_roundtrip(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
     forms, verify at 1e-6, and round-trip exactly."""
     dim = cfg.dims[index % len(cfg.dims)]
     a, b = coexistent_pair(dim, rng)
-    res = decide(a, b, cfg.solver)
+    res = decide(a, b)
     if res.verdict is Verdict.NOT_COEXISTENT:
         return _fail("constructed coexistent pair judged NotCoexistent",
                      res.residual, a=a, b=b)
@@ -285,7 +284,7 @@ def _suite_convexity(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
     saw_indet = False
     for t in (0.25, 0.5, 0.75):
         mix = clamped_effect(t * b1.matrix + (1.0 - t) * b2.matrix)
-        res = decide(a, mix, cfg.solver)
+        res = decide(a, mix)
         worst = max(worst, res.residual)
         if res.verdict is Verdict.NOT_COEXISTENT:
             return _fail(f"mixture at t={t} judged NotCoexistent",
@@ -310,8 +309,8 @@ def _suite_dirsum(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
         b_blocks.append(b)
     whole_a = Effect.trusted(direct_sum(a_blocks))
     whole_b = Effect.trusted(direct_sum(b_blocks))
-    res_whole = decide(whole_a, whole_b, cfg.solver)
-    res_blocks = decide_blockwise(a_blocks, b_blocks, cfg.solver)
+    res_whole = decide(whole_a, whole_b)
+    res_blocks = decide_blockwise(a_blocks, b_blocks)
     if res_whole.definite and res_blocks.definite \
             and res_whole.verdict is not res_blocks.verdict:
         return _fail(f"assembly says {res_whole.verdict.value}, blockwise says"
@@ -321,6 +320,20 @@ def _suite_dirsum(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
         return TrialOutcome("indeterminate",
                             max(res_whole.residual, res_blocks.residual))
     return TrialOutcome("pass", max(res_whole.residual, res_blocks.residual))
+
+
+def _preserved(res, res_img, truth, what: str, a, b) -> TrialOutcome:
+    """A source pair's verdict against its ground truth (None if unknown) and
+    against the verdict on its image under the map named by what."""
+    if truth is not None and res.definite and res.verdict is not truth:
+        return _fail(f"source pair: expected {truth.value}, got {res.verdict.value}",
+                     res.residual, a=a, b=b)
+    if res.definite and res_img.definite and res.verdict is not res_img.verdict:
+        return _fail(f"verdict changed under {what}: {res.verdict.value}"
+                     f" -> {res_img.verdict.value}", res_img.residual, a=a, b=b)
+    if not (res.definite and res_img.definite):
+        return TrialOutcome("indeterminate", max(res.residual, res_img.residual))
+    return TrialOutcome("pass", max(res.residual, res_img.residual))
 
 
 def _suite_theorem_converse(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
@@ -339,17 +352,8 @@ def _suite_theorem_converse(cfg: HarnessConfig, index: int, rng) -> TrialOutcome
         truth = Verdict.NOT_COEXISTENT
     else:
         a, b = generic_pair(dim, rng)
-    res = decide(a, b, cfg.solver)
-    res_img = decide(apply_standard(spec, a), apply_standard(spec, b), cfg.solver)
-    if truth is not None and res.definite and res.verdict is not truth:
-        return _fail(f"source pair: expected {truth.value}, got {res.verdict.value}",
-                     res.residual, a=a, b=b)
-    if res.definite and res_img.definite and res.verdict is not res_img.verdict:
-        return _fail(f"verdict changed under automorphism: {res.verdict.value}"
-                     f" -> {res_img.verdict.value}", res_img.residual, a=a, b=b)
-    if not (res.definite and res_img.definite):
-        return TrialOutcome("indeterminate", max(res.residual, res_img.residual))
-    return TrialOutcome("pass", max(res.residual, res_img.residual))
+    res_img = decide(apply_standard(spec, a), apply_standard(spec, b))
+    return _preserved(decide(a, b), res_img, truth, "automorphism", a, b)
 
 
 def _suite_prop1_ccc(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
@@ -363,18 +367,9 @@ def _suite_prop1_ccc(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
     else:
         a, b = noncoexistent_pair(dim, rng)
         truth = Verdict.NOT_COEXISTENT
-    res = decide(a, b, cfg.solver)
     res_img = decide_blockwise(list(block_components(spec, a)),
-                               list(block_components(spec, b)), cfg.solver)
-    if res.definite and res.verdict is not truth:
-        return _fail(f"source pair: expected {truth.value}, got {res.verdict.value}",
-                     res.residual, a=a, b=b)
-    if res.definite and res_img.definite and res.verdict is not res_img.verdict:
-        return _fail(f"verdict changed under block map: {res.verdict.value}"
-                     f" -> {res_img.verdict.value}", res_img.residual, a=a, b=b)
-    if not (res.definite and res_img.definite):
-        return TrialOutcome("indeterminate", max(res.residual, res_img.residual))
-    return TrialOutcome("pass", max(res.residual, res_img.residual))
+                               list(block_components(spec, b)))
+    return _preserved(decide(a, b), res_img, truth, "block map", a, b)
 
 
 def _suite_prop2_oneway(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
@@ -402,12 +397,12 @@ def _suite_prop2_oneway(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
         headroom = 1.0 - float(np.linalg.eigvalsh(a.matrix)[-1])
         b = clamped_effect(a.matrix + rng.uniform(0.2, 1.0) * headroom * gap)
         if not loewner_leq(apply_trace_threshold(spec, a),
-                           apply_trace_threshold(spec, b), 1e-9):
+                           apply_trace_threshold(spec, b)):
             return _fail("order not preserved", 0.0, a=a, b=b)
         return TrialOutcome("pass")
     a, b = coexistent_pair(dim, rng)
     res = decide(apply_trace_threshold(spec, a),
-                 apply_trace_threshold(spec, b), cfg.solver)
+                 apply_trace_threshold(spec, b))
     if res.verdict is Verdict.NOT_COEXISTENT:
         return _fail("image of a coexistent pair judged NotCoexistent",
                      res.residual, a=a, b=b)
@@ -428,8 +423,8 @@ def _suite_lem4_witness(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
             break
 
     def distinguishes(c, near, far) -> bool:
-        res_near = decide(c, near, cfg.solver)
-        res_far = decide(c, far, cfg.solver)
+        res_near = decide(c, near)
+        res_far = decide(c, far)
         return res_near.verdict is Verdict.COEXISTENT \
             and res_far.verdict is Verdict.NOT_COEXISTENT
 
@@ -456,7 +451,7 @@ def _suite_oracle_crosscheck(cfg: HarnessConfig, index: int, rng) -> TrialOutcom
     rule = RULE_FAMILIES[index % len(RULE_FAMILIES)]
     dim = cfg.dims[(index // len(RULE_FAMILIES)) % len(cfg.dims)]
     a, b, truth = rule_instance(rule, dim, rng)
-    res = decide(a, b, cfg.solver, fast_paths=False)
+    res = decide(a, b, fast_paths=False)
     if not res.definite:
         return TrialOutcome("indeterminate", res.residual)
     if res.verdict is not truth:
@@ -550,7 +545,7 @@ def config_document(cfg: HarnessConfig) -> dict:
         "solver": {
             "feas_tol": FEAS_TOL,
             "sep_tol": SEP_TOL,
-            "max_cycles": cfg.solver.max_cycles,
+            "max_steps": MAX_STEPS,
         },
         "suites": list(cfg.suites),
     }

@@ -27,8 +27,8 @@ from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 # Tolerance ladder, tightest rung first: every spectral and exact-rule
-# detection threshold in the package.  Callers can override the order and
-# strata predicates' defaults per call; fast_path's thresholds are fixed.
+# detection threshold in the package.  Only classify, is_scalar and
+# is_projection let their caller override a rung (CLASSIFY_TOL).
 HERMITICITY_TOL = 1e-12     # require_hermitian, so every validated input
 RECONSTRUCTION_TOL = 1e-10  # an eigendecomposition reconstructs its input
 EFFECT_SPECTRUM_TOL = 1e-9  # Effect: spectrum snapped onto [0, 1] within it
@@ -36,7 +36,7 @@ ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak test
 DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
                             # image-overlap tests; apply_ges_bijective's scalar
                             # test; interior_perturbation's invertibility test
-CLASSIFY_TOL = 1e-7         # strata predicates' default (classify, is_scalar,
+CLASSIFY_TOL = 1e-7         # strata predicates (classify, is_scalar,
                             # is_projection, canonical_form); fast_path's rank
 
 # Randomly generated effects keep interior eigenvalues at least this far from
@@ -47,9 +47,9 @@ INTERIOR_MARGIN = 1e-3
 def require_tolerance(value: float, name: str = "tol", positive: bool = False) -> float:
     """Return a caller's tolerance if it is finite and >= 0 (> 0 if positive).
 
-    Every public function that takes a tolerance from its caller checks it
-    here first: a NaN tolerance makes every ``dev > tol`` test False, and a
-    negative one inverts order tests.
+    Every public function that takes a tolerance (or eps) from its caller
+    checks it here first: a NaN tolerance makes every ``dev > tol`` test
+    False, and a negative one inverts order tests.
     """
     if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
         bound = "> 0" if positive else ">= 0"
@@ -62,16 +62,17 @@ class NotHermitian(ValueError):
     transpose beyond tolerance."""
 
 
+class DimensionMismatch(ValueError):
+    """Two inputs that must share a dimension do not."""
+
+
 class SpectrumOutOfRange(ValueError):
     """An alleged effect has an eigenvalue outside [0, 1] beyond tolerance."""
 
-    def __init__(self, eigenvalue: float, tol: float):
+    def __init__(self, eigenvalue: float):
         self.eigenvalue = eigenvalue
-        self.tol = tol
-        super().__init__(
-            f"eigenvalue {eigenvalue:.6g} lies outside [0, 1] "
-            f"(tolerance {tol:g})"
-        )
+        super().__init__(f"eigenvalue {eigenvalue:.6g} lies outside [0, 1] "
+                         f"(tolerance {EFFECT_SPECTRUM_TOL:g})")
 
 
 def _as_square_array(matrix) -> np.ndarray:
@@ -85,19 +86,23 @@ def _as_square_array(matrix) -> np.ndarray:
     return m
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Check hermiticity entrywise and return the symmetrised copy.
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2, an exactly Hermitian array."""
+    return (m + m.conj().T) / 2.0
+
+
+def require_hermitian(matrix) -> np.ndarray:
+    """Check hermiticity entrywise (HERMITICITY_TOL); return the symmetrised copy.
 
     Symmetrising after the check means downstream eigensolvers always see an
     exactly Hermitian array, so tiny asymmetries cannot leak into spectra.
     """
     m = _as_square_array(matrix)
     dev = np.abs(m - m.conj().T).max()
-    if not dev <= tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {dev:.6g} (tolerance {tol:g})"
-        )
-    return (m + m.conj().T) / 2.0
+    if not dev <= HERMITICITY_TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.6g} "
+                           f"(tolerance {HERMITICITY_TOL:g})")
+    return _hermitian_part(m)
 
 
 class EigenDecomposition(NamedTuple):
@@ -105,11 +110,6 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _read_only(w: np.ndarray, v: np.ndarray) -> EigenDecomposition:
-    w.flags.writeable = v.flags.writeable = False
-    return EigenDecomposition(w, v)
 
 
 def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,18 +121,16 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def eig(matrix, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def eig(matrix) -> EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = require_hermitian(matrix, tol)
-    w, v = np.linalg.eigh(m)
-    return EigenDecomposition(w, v)
+    return EigenDecomposition(*np.linalg.eigh(require_hermitian(matrix)))
 
 
 class Effect:
     """Hermitian matrix with spectrum in [0, 1], validated on construction.
 
-    Eigenvalues that stray outside the admissible interval by no more than
-    the tolerance are snapped onto it (the stored array is then the clamped
+    Eigenvalues that stray outside [0, 1] by no more than EFFECT_SPECTRUM_TOL
+    are snapped onto it (the stored array is then the clamped
     reconstruction), so effects built from honest data never carry -1e-15
     eigenvalue noise into later order comparisons.  Matrices whose spectrum
     is already inside [0, 1] are stored as given.  The array is marked
@@ -145,14 +143,13 @@ class Effect:
 
     __slots__ = ("_matrix", "_eigenvalues", "_eig")
 
-    def __init__(self, matrix, tol: float = EFFECT_SPECTRUM_TOL):
-        require_tolerance(tol)
+    def __init__(self, matrix):
         m = require_hermitian(matrix)
         w, v = np.linalg.eigh(m)
-        if w[0] < -tol:
-            raise SpectrumOutOfRange(float(w[0]), tol)
-        if w[-1] > 1.0 + tol:
-            raise SpectrumOutOfRange(float(w[-1]), tol)
+        if w[0] < -EFFECT_SPECTRUM_TOL:
+            raise SpectrumOutOfRange(float(w[0]))
+        if w[-1] > 1.0 + EFFECT_SPECTRUM_TOL:
+            raise SpectrumOutOfRange(float(w[-1]))
         clamped = w[0] < 0.0 or w[-1] > 1.0
         if clamped:
             m = _clipped(w, v)
@@ -188,7 +185,9 @@ class Effect:
     def eig(self) -> EigenDecomposition:
         """Eigendecomposition of the stored matrix, computed at most once."""
         if self._eig is None:
-            self._eig = _read_only(*np.linalg.eigh(self._matrix))
+            w, v = np.linalg.eigh(self._matrix)
+            w.flags.writeable = v.flags.writeable = False
+            self._eig = EigenDecomposition(w, v)
         return self._eig
 
     @property
@@ -218,11 +217,19 @@ def as_matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=complex)
 
 
-def as_effect(value, tol: float = EFFECT_SPECTRUM_TOL) -> Effect:
+def as_effect(value) -> Effect:
     """Coerce to a validated Effect; a given Effect passes through unchanged."""
     if isinstance(value, Effect):
         return value
-    return Effect(value, tol)
+    return Effect(value)
+
+
+def _effect_of_dim(value, dim: int) -> Effect:
+    """as_effect(value), which must have dimension dim."""
+    e = as_effect(value)
+    if e.dim != dim:
+        raise DimensionMismatch(f"dimension mismatch: {dim} vs {e.dim}")
+    return e
 
 
 def clamped_effect(matrix) -> Effect:
@@ -253,9 +260,9 @@ def trace(matrix) -> float:
     return float(np.trace(as_matrix(matrix)).real)
 
 
-def spectrum(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def spectrum(matrix) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(require_hermitian(matrix, tol))
+    return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
 def operator_norm(matrix) -> float:
@@ -264,23 +271,23 @@ def operator_norm(matrix) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def loewner_leq(a, b, tol: float = ORDER_TOL) -> bool:
-    """Whether A <= B in the positive semidefinite order, up to tolerance.
+def _order_gap(a, b) -> float:
+    """Smallest eigenvalue of B - A, symmetrised: a difference of Hermitians."""
+    d = _as_square_array(as_matrix(b) - as_matrix(a))
+    return np.linalg.eigvalsh(_hermitian_part(d))[0]
 
-    True iff the smallest eigenvalue of B - A is at least -tol.
+
+def loewner_leq(a, b) -> bool:
+    """Whether A <= B in the positive semidefinite order, up to ORDER_TOL.
+
+    True iff the smallest eigenvalue of B - A is at least -ORDER_TOL.
     """
-    require_tolerance(tol)
-    d = as_matrix(b) - as_matrix(a)
-    d = require_hermitian(d, tol=np.inf)  # difference of Hermitians; no check
-    return bool(np.linalg.eigvalsh(d)[0] >= -tol)
+    return bool(_order_gap(a, b) >= -ORDER_TOL)
 
 
-def strictly_less(a, b, tol: float = ORDER_TOL) -> bool:
-    """Whether B - A is positive definite with margin strictly above tol."""
-    require_tolerance(tol)
-    d = as_matrix(b) - as_matrix(a)
-    d = require_hermitian(d, tol=np.inf)  # difference of Hermitians; no check
-    return bool(np.linalg.eigvalsh(d)[0] > tol)
+def strictly_less(a, b) -> bool:
+    """Whether B - A is positive definite with margin strictly above ORDER_TOL."""
+    return bool(_order_gap(a, b) > ORDER_TOL)
 
 
 def _psd_kernel(m: np.ndarray) -> np.ndarray:
@@ -320,7 +327,7 @@ def psd_part(matrix) -> np.ndarray:
     m = require_hermitian(matrix)
     with _lapack_checked():
         out = _psd_kernel(m)
-    return (out + out.conj().T) / 2.0
+    return _hermitian_part(out)
 
 
 def sqrt_psd(matrix) -> np.ndarray:
@@ -333,7 +340,7 @@ def sqrt_psd(matrix) -> np.ndarray:
     if w[0] < -1e-12:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.6g}")
     out = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _hermitian_part(out)
 
 
 def direct_sum(blocks: Sequence) -> np.ndarray:
@@ -359,7 +366,7 @@ def _conjugate(m: np.ndarray, u: np.ndarray) -> Effect:
     is built.
     """
     out = u @ m @ u.conj().T
-    return Effect.trusted((out + out.conj().T) / 2.0)
+    return Effect.trusted(_hermitian_part(out))
 
 
 def conjugate(a, unitary, transpose: bool = False) -> Effect:
@@ -375,11 +382,11 @@ def conjugate(a, unitary, transpose: bool = False) -> Effect:
     return _conjugate(e.matrix.T if transpose else e.matrix, u)
 
 
-def require_unitary(u, tol: float = 1e-10) -> np.ndarray:
-    """Check ||U*U - I||_F <= tol and return U as a complex array."""
+def require_unitary(u) -> np.ndarray:
+    """Check ||U*U - I||_F <= 1e-10 and return U as a complex array."""
     m = _as_square_array(u)
     dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-    if not dev <= tol:
+    if not dev <= 1e-10:
         raise ValueError(f"matrix is not unitary: ||U*U - I|| = {dev:.6g}")
     return m
 
@@ -441,7 +448,7 @@ def random_effect(dim: int, stratum: tuple[int, int] | None = None, *, seed) -> 
     ])
     u = random_unitary(dim, rng)
     m = (u * vals) @ u.conj().T
-    return Effect.trusted((m + m.conj().T) / 2.0)
+    return Effect.trusted(_hermitian_part(m))
 
 
 def random_projection(dim: int, rank: int, seed) -> Effect:
@@ -451,4 +458,4 @@ def random_projection(dim: int, rank: int, seed) -> Effect:
     u = random_unitary(dim, _rng(seed))
     cols = u[:, :rank]
     m = cols @ cols.conj().T
-    return Effect.trusted((m + m.conj().T) / 2.0)
+    return Effect.trusted(_hermitian_part(m))

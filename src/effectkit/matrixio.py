@@ -68,10 +68,11 @@ def dumps_document(doc: dict) -> str:
     return _encode(doc, "") + "\n"
 
 
-def loads_document(text: str) -> dict:
+def loads_document(text) -> dict:
+    """The document held in JSON text: a str, or bytes in UTF-8."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top-level document must be an object")
@@ -84,8 +85,11 @@ def write_document(path, doc: dict):
 
 
 def read_document(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return loads_document(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return loads_document(fh.read())
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text: {exc}") from exc
 
 
 def matrix_document(matrix, kind: str | None = None) -> dict:
@@ -112,7 +116,10 @@ def complex_entries(entries) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                            for v in pair)):
             raise FileFormatError(f"entry {i} is not a [re, im] pair")
-        flat[i] = complex(pair[0], pair[1])
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise FileFormatError(f"entry {i} is beyond float range") from exc
     if not np.isfinite(flat).all():
         raise FileFormatError("entries must be finite numbers")
     return flat

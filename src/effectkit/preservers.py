@@ -17,7 +17,6 @@ import numpy as np
 from .hermitian import (
     DETECTION_TOL,
     Effect,
-    as_effect,
     clamped_effect,
     direct_sum,
     operator_norm,
@@ -26,6 +25,7 @@ from .hermitian import (
     require_unitary,
     trace,
     _conjugate,
+    _effect_of_dim,
     _rng,
 )
 from .strata import is_scalar
@@ -58,7 +58,7 @@ class StandardAutomorphismSpec:
 
 
 def apply_standard(spec: StandardAutomorphismSpec, a) -> Effect:
-    m = as_effect(a).matrix
+    m = _effect_of_dim(a, spec.dim).matrix
     out = _conjugate(m.T if spec.transpose else m, spec.unitary)
     if spec.perp:
         out = orthocomplement(out)
@@ -104,9 +104,7 @@ class TraceThresholdSpec:
 
 
 def apply_trace_threshold(spec: TraceThresholdSpec, a) -> Effect:
-    e = as_effect(a)
-    if e.dim != spec.dim:
-        raise ValueError(f"dimension mismatch: {e.dim} vs {spec.dim}")
+    e = _effect_of_dim(a, spec.dim)
     n = spec.dim
     s = trace(e)
     if s <= 1.0:
@@ -127,9 +125,7 @@ def trace_threshold_inverse(spec: TraceThresholdSpec, b) -> Effect:
     t is recovered by bisection (t f(t) is a monotone bijection of [0, 1])
     and A = (t/s) B.  The high-trace branch routes through the complement.
     """
-    eb = as_effect(b)
-    if eb.dim != spec.dim:
-        raise ValueError(f"dimension mismatch: {eb.dim} vs {spec.dim}")
+    eb = _effect_of_dim(b, spec.dim)
     n = spec.dim
     s = trace(eb)
     if s <= 1.0:
@@ -221,9 +217,7 @@ def random_block_spec(dim: int, seed, terms: int = 4) -> BlockCounterexampleSpec
 
 def block_components(spec: BlockCounterexampleSpec, a) -> tuple[Effect, ...]:
     """The four blocks (A, T A T*, A/2, scalar sum) as separate effects."""
-    e = as_effect(a)
-    if e.dim != spec.dim:
-        raise ValueError(f"dimension mismatch: {e.dim} vs {spec.dim}")
+    e = _effect_of_dim(a, spec.dim)
     t = spec.contraction
     squeezed = t @ e.matrix @ t.conj().T
     scalar_sum = np.zeros(spec.dim)
@@ -308,9 +302,7 @@ def _pair_bit(spec: GesBijectiveSpec, member: np.ndarray) -> int:
 
 
 def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
-    e = as_effect(a)
-    if e.dim != spec.dim:
-        raise ValueError(f"dimension mismatch: {e.dim} vs {spec.dim}")
+    e = _effect_of_dim(a, spec.dim)
     scalar, t = is_scalar(e, DETECTION_TOL)
     if scalar:
         node = int(round(t * (GRID_NODES - 1)))

@@ -31,6 +31,8 @@ MapHandle = Callable[[Effect], Effect]
 # the global phase.
 _GAUGE_CUTOFF = 1e-8
 
+FIT_TOL = 1e-6  # reconstruct's default: how far a probe image may be from a projection
+
 
 class InconsistentMap(ValueError):
     """Map images at 0 and I match neither the plain nor the complemented form."""
@@ -89,7 +91,7 @@ def detect_perp(handle: MapHandle, dim: int) -> bool:
     return at_zero
 
 
-def reconstruct(handle: MapHandle, dim: int, tol: float = 1e-6) -> ReconstructionResult:
+def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> ReconstructionResult:
     """Fit a standard automorphism to a black-box map.
 
     Probe plan: the basis projections give the columns of U up to phase;
@@ -186,13 +188,22 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def verify_reconstruction(handle: MapHandle, result: ReconstructionResult,
                           trials: int, seed) -> float:
-    """Max Frobenius gap between the map and its fitted form on random effects."""
+    """Max Frobenius gap between the map and its fitted form on random effects.
+
+    Trial i draws a random effect R, whose trace spreads over (0, n), and
+    tests R, R/n (trace at most 1) or I - R/n (trace at least n - 1) as
+    i mod 3 is 0, 1 or 2.  So a map that acts differently on low- or
+    high-trace effects, such as a trace-threshold map, shows a gap.
+    """
     rng = _rng(seed)
     dim = result.unitary.shape[0]
     spec = result.spec
     worst = 0.0
-    for _ in range(trials):
+    for i in range(trials):
         a = random_effect(dim, seed=rng)
+        if i % 3:
+            low = a.matrix / dim
+            a = Effect.trusted(low if i % 3 == 1 else np.eye(dim) - low)
         dev = np.linalg.norm(as_effect(handle(a)).matrix
                              - apply_standard(spec, a).matrix)
         worst = max(worst, float(dev))

@@ -44,19 +44,19 @@ def is_projection(a, tol: float = CLASSIFY_TOL) -> bool:
     return bool(((w <= tol) | (w >= 1.0 - tol)).all())
 
 
-def canonical_form(a, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, Effect]:
+def canonical_form(a) -> tuple[np.ndarray, Effect]:
     """Unitary V and diagonal D = Diag(I_p, B, 0_q) with V D V* = A.
 
     Eigenvalues are sorted descending, so the eigenvalue-1 block comes first
-    and the kernel block last; endpoint eigenvalues within tol are snapped
-    exactly onto 0 or 1.  Returns (V, D) with D an Effect.
+    and the kernel block last; endpoint eigenvalues within CLASSIFY_TOL are
+    snapped exactly onto 0 or 1.  Returns (V, D) with D an Effect.
     """
-    require_tolerance(tol)
     w, u = as_effect(a).eig
     # eigh sorts ascending; flip to put the eigenvalue-1 block on top.
     w = w[::-1]
     v = u[:, ::-1].copy()
-    snapped = np.where(w >= 1.0 - tol, 1.0, np.where(w <= tol, 0.0, w))
+    snapped = np.where(w >= 1.0 - CLASSIFY_TOL, 1.0,
+                       np.where(w <= CLASSIFY_TOL, 0.0, w))
     d = Effect.trusted(np.diag(snapped).astype(complex))
     return v, d
 

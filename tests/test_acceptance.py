@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from effectkit.coexistence import (
-    SolverConfig,
     Verdict,
     decide,
     decide_blockwise,

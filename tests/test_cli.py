@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from effectkit import coexistence
 from effectkit.cli import main
 from effectkit.harness import trial_rng
 from effectkit.hermitian import Effect, as_matrix, random_effect, random_projection
@@ -137,6 +138,23 @@ def test_reconstruct_standard_spec(tmp_path, capsys):
     assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_reconstruct_fails_closed_on_a_trace_threshold_map(tmp_path, capsys, dim):
+    # The probes are rank-one projections, of trace 1, which a trace-threshold
+    # map with alpha 1 leaves alone: the fit is the identity, and only the
+    # verification on low- and high-trace effects shows that it is wrong.
+    spec_path = tmp_path / "tt.spec"
+    write_document(spec_path, preserver_spec_document(TraceThresholdSpec(dim, 1.0)))
+    assert main(["reconstruct", "--map-spec", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("reconstruction failed: the fit misses the map by")
+    write_document(spec_path, preserver_spec_document(random_standard_spec(dim, seed=dim)))
+    assert main(["reconstruct", "--map-spec", str(spec_path)]) == 0
+    assert "verify_gap: " in capsys.readouterr().out
+    assert main(["--seed", str(-dim), "reconstruct", "--map-spec", str(spec_path)]) == 0
+
+
 def test_reconstruct_rejects_block_map(tmp_path, capsys):
     spec_path = tmp_path / "blk.spec"
     write_document(spec_path, preserver_spec_document(random_block_spec(2, seed=6)))
@@ -170,6 +188,40 @@ def test_malformed_file_exits_66(tmp_path, capsys):
                    '[[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}')
     code = main(["check", str(bad), str(bad)])
     assert code == 66
+
+
+_UNDECODABLE = {
+    "latin1": b'{"dim": 1, "entries": [[0.5, 0.0]], "note": "caf\xe9"}',
+    "overflow": b'{"dim": 1, "kind": "effect", "entries": [[1' + b"0" * 400 + b', 0]]}',
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+def test_undecodable_file_exits_66(tmp_path, capsys, name):
+    # Non-UTF-8 bytes, an integer beyond float range and JSON nested 200,000
+    # deep are malformed input, not an internal error with a traceback.
+    bad = tmp_path / f"{name}.mat"
+    bad.write_bytes(_UNDECODABLE[name])
+    assert main(["check", str(bad), str(bad)]) == 66
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dimension_mismatch_exits_66(tmp_path, capsys):
+    paths = {}
+    for dim in (2, 3):
+        paths[dim] = tmp_path / f"a{dim}.mat"
+        write_matrix(paths[dim], random_effect(dim, seed=dim))
+    assert main(["check", str(paths[2]), str(paths[3])]) == 66
+    assert capsys.readouterr().err == "error: dimension mismatch: 2 vs 3\n"
+    specs = {"standard": random_standard_spec(2, seed=7),
+             "trace-threshold": TraceThresholdSpec(dim=2, alpha=1.0)}
+    for kind, spec in specs.items():
+        spec_path = tmp_path / f"{kind}.spec"
+        write_document(spec_path, preserver_spec_document(spec))
+        assert main(["apply", "--map", kind, "--spec", str(spec_path), str(paths[3])]) == 66
+        assert capsys.readouterr().err == "error: dimension mismatch: 2 vs 3\n"
 
 
 def test_non_effect_matrix_exits_66(tmp_path, capsys):
@@ -235,9 +287,10 @@ def test_console_script_entry_point(tmp_path):
     assert "Coexistent" in proc.stdout
 
 
-def test_max_cycles_is_the_newton_step_budget(effects, tmp_path, capsys):
+def test_max_steps_is_the_newton_step_budget(tmp_path, capsys, monkeypatch):
     # Criterion 6's pair dim 3 #70 needs 7 Newton steps to be proved
-    # NotCoexistent; with a budget of 5 it ends Indeterminate.
+    # NotCoexistent; with a budget of 5 it ends Indeterminate.  The budget is
+    # a module constant, read at each call, and no flag sets it.
     rng = trial_rng(0, "acc6:3", 70)
     paths = [tmp_path / "a.mat", tmp_path / "b.mat"]
     for path in paths:
@@ -245,7 +298,9 @@ def test_max_cycles_is_the_newton_step_budget(effects, tmp_path, capsys):
     args = ["check", *map(str, paths)]
     assert main(args) == 1
     assert "iterations: 7" in capsys.readouterr().out
-    assert main([*args, "--max-cycles", "5"]) == 2
+    monkeypatch.setattr(coexistence, "MAX_STEPS", 5)
+    assert main(args) == 2
     assert "iterations: 5" in capsys.readouterr().out
+    assert main([*args, "--max-cycles", "5"]) == 64
     # --stall-window went with the projection solver.
     assert main([*args, "--stall-window", "50"]) == 64

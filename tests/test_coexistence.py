@@ -13,7 +13,6 @@ from effectkit.coexistence import (
     CoexistenceVerdict,
     InvalidCertificate,
     Reason,
-    SolverConfig,
     Verdict,
     decide,
     decide_blockwise,
@@ -548,11 +547,6 @@ def test_decide_dimension_mismatch():
         decide(random_effect(2, seed=0), random_effect(3, seed=0))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_cycles=0)
-
-
 def test_reflexivity_and_orthocomplement():
     for s in range(5):
         a = random_effect(3, seed=300 + s)
@@ -813,6 +807,17 @@ def test_interior_perturbation_rejects_bad_inputs():
     for eps in (0.0, -0.1, float("nan"), float("inf")):  # eps not finite and > 0
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             interior_perturbation(np.eye(2), np.zeros((2, 2)), eps)
+
+
+def test_interior_perturbation_validates_hermitian_input():
+    # NaN used to come back as a NaN matrix, and a non-Hermitian A or B was
+    # silently replaced by its Hermitian part.
+    nan = np.diag([np.nan, 0.1])
+    skew = np.array([[0.2, 0.1], [0.0, 0.2]])
+    for a, b in ((np.eye(2), nan), (nan, np.zeros((2, 2))),
+                 (np.eye(2), skew), (np.eye(2) + 1j * skew, np.zeros((2, 2)))):
+        with pytest.raises(NotHermitian):
+            interior_perturbation(a, b, 0.1)
 
 
 def test_verdict_dataclass_shape():

@@ -6,12 +6,13 @@ answer is fixed by the documented threshold with a margin far above
 rounding.  fast_path and the strata predicates must read each effect's
 cached eigenvalues instead of decomposing it again.  Every public function
 that takes a tolerance from its caller rejects a NaN, infinite or negative
-one.  Rank-one pairs whose sum peaks within 1e-2 of 1, and full-rank pairs
-(A, cB) with c within 1e-2 of their coexistence threshold, probe the
-solver at the feasibility tolerance: its verdicts stay certified and
-consistent.
+one; those that use a fixed rung take no tolerance at all.  Rank-one pairs
+whose sum peaks within 1e-2 of 1, and full-rank pairs (A, cB) with c
+within 1e-2 of their coexistence threshold, probe the solver at the
+feasibility tolerance: its verdicts stay certified and consistent.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+import effectkit
+from effectkit.cli import main
 from effectkit.coexistence import (
     CERT_TOL,
     FEAS_TOL,
@@ -26,6 +29,7 @@ from effectkit.coexistence import (
     Reason,
     Verdict,
     decide,
+    decide_blockwise,
     fast_path,
     efg_to_mn,
     mn_to_efg,
@@ -40,11 +44,14 @@ from effectkit.hermitian import (
     ORDER_TOL,
     Effect,
     as_effect,
+    eig,
     loewner_leq,
     random_effect,
     random_unitary,
     require_hermitian,
     require_tolerance,
+    require_unitary,
+    spectrum,
     strictly_less,
 )
 from effectkit.preservers import preserver_handle, random_standard_spec
@@ -249,17 +256,20 @@ def _rank_one_pair():
 
 
 _SEVENS = np.full((2, 2), 7.0)
-_TOL_TAKERS = {
-    # Effect and as_effect are given a spectrum far outside [0, 1]: a NaN or
-    # infinite tol used to clamp it onto diag(1, 0) instead of raising.
+# These use a fixed rung and take no tolerance: whatever tol a caller
+# passes is refused.  Effect and as_effect are given a spectrum far outside
+# [0, 1], which a NaN or infinite tol once clamped onto diag(1, 0).
+_FIXED_RUNG = {
     "Effect": lambda a, b, tol: Effect(np.diag([5.0, -3.0]), tol=tol),
-    "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol),
+    "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol=tol),
+    "canonical_form": lambda a, b, tol: canonical_form(a, tol=tol),
+    "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol=tol),
+    "strictly_less": lambda a, b, tol: strictly_less(a, b, tol=tol),
+}
+_TOL_TAKERS = {
     "classify": lambda a, b, tol: classify(a, tol),
     "is_scalar": lambda a, b, tol: is_scalar(a, tol),
     "is_projection": lambda a, b, tol: is_projection(a, tol),
-    "canonical_form": lambda a, b, tol: canonical_form(a, tol),
-    "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol),
-    "strictly_less": lambda a, b, tol: strictly_less(a, b, tol),
     "reconstruct": lambda a, b, tol: reconstruct(
         preserver_handle(random_standard_spec(2, seed=31)), 2, tol=tol),
     # The certificate checks are given a constant 7 for every part: an
@@ -271,12 +281,16 @@ _TOL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+@pytest.mark.parametrize("name", sorted({**_FIXED_RUNG, **_TOL_TAKERS}))
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
 def test_public_functions_reject_a_bad_tolerance(name, tol):
     a, b = _rank_one_pair()
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        _TOL_TAKERS[name](a, b, tol)
+    if name in _FIXED_RUNG:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            _FIXED_RUNG[name](a, b, tol)
+    else:
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            _TOL_TAKERS[name](a, b, tol)
 
 
 def test_good_tolerances_pass_and_inf_stays_internal():
@@ -286,10 +300,28 @@ def test_good_tolerances_pass_and_inf_stays_internal():
     for tol in (0.0, 0, 1e-300, ORDER_TOL, 1.0):
         assert require_tolerance(tol) == tol
     assert classify(a, 0.0) == (0, 1)
-    # The order predicates skip require_hermitian's check with tol=inf.
-    assert require_hermitian(b.matrix - a.matrix, tol=math.inf).shape == (2, 2)
+    # No caller can switch require_hermitian's check off: it takes no tol,
+    # and the order predicates symmetrise B - A without it.
+    with pytest.raises(TypeError):
+        require_hermitian(b.matrix - a.matrix, tol=math.inf)
+    assert loewner_leq(a, a) and not strictly_less(a, a)
     with pytest.raises(ValueError, match="eps must be finite and > 0"):
         require_tolerance(0.0, "eps", positive=True)
+
+
+def test_fixed_settings_have_no_parameter_or_flag():
+    # The Newton-step budget and these functions' tolerances have one value
+    # in use each, so they are module constants, not arguments or options.
+    fixed = (Effect, as_effect, require_hermitian, eig, spectrum, require_unitary,
+             loewner_leq, strictly_less, canonical_form, decide, decide_blockwise)
+    for fn in fixed:
+        params = inspect.signature(fn).parameters
+        assert not {"tol", "cfg"} & set(params), fn.__name__
+    assert not hasattr(effectkit, "SolverConfig")
+    assert not hasattr(effectkit, "MAX_CYCLES")
+    assert effectkit.MAX_STEPS == 200
+    for args in (["check", "a.mat", "b.mat"], ["harness", "--dims", "2", "--trials", "1"]):
+        assert main([*args, "--max-cycles", "5"]) == 64
 
 
 def _rank_one_edge_pair(dim, alpha, beta, target, rng):
