@@ -44,6 +44,7 @@ from .hermitian import (
     _effect_of_dim,
     _eigh_lo,
     _eigvalsh_lo,
+    _hermitian_part,
     _lapack_checked,
     _psd_kernel,
     _rng,
@@ -141,12 +142,14 @@ def _coexistent(reason: Reason, m, n, residual: float = 0.0,
                 iterations: int = 0) -> CoexistenceVerdict:
     """A Coexistent verdict whose witness is (M, N) clamped onto the effects.
 
-    M and N are checked as require_hermitian checks them (finite entries,
-    Hermitian to HERMITICITY_TOL) and clamped by one stacked eigh; each
-    witness has the bytes clamped_effect would give it.
+    M and N are symmetrised, not validated again: they are built from
+    validated effects by eigensolvers under _lapack_checked, which raise
+    rather than return NaN, and the barrier ends Indeterminate once its
+    slack spectrum is not positive (NaN included).  One stacked eigh
+    clamps both; each witness has the bytes clamped_effect would give it.
     """
     with _lapack_checked():
-        w, v = _eigh_lo(np.stack((require_hermitian(m), require_hermitian(n))))
+        w, v = _eigh_lo(np.stack((_hermitian_part(m), _hermitian_part(n))))
     mc, nc = _clipped(w, v)
     witness = (Effect.trusted(mc), Effect.trusted(nc))
     return CoexistenceVerdict(Verdict.COEXISTENT, reason, witness,
@@ -612,7 +615,14 @@ def _check_shapes(names, parts):
     return mats
 
 
+def _cert_tol(tol: float):
+    """A witness check's tol may tighten CERT_TOL, not loosen it: 1e300 passes anything."""
+    if require_tolerance(tol) > CERT_TOL:
+        raise ValueError(f"tol must be at most CERT_TOL = {CERT_TOL:g}, got {tol!r}")
+
+
 def _check_mn(a, b, m, n, tol: float):
+    _cert_tol(tol)
     am, bm, mm, nm = _check_shapes("ABMN", (a, b, m, n))
     eye = np.eye(am.shape[0])
     _check_psd(("M", "N", "A - M", "(I - A) - N"),
@@ -622,6 +632,7 @@ def _check_mn(a, b, m, n, tol: float):
 
 
 def _check_efg(a, b, e, f, g, tol: float):
+    _cert_tol(tol)
     am, bm, em, fm, gm = _check_shapes("ABEFG", (a, b, e, f, g))
     eye = np.eye(am.shape[0])
     _check_psd(("E", "F", "G", "I - (E + F + G)"),
@@ -636,10 +647,9 @@ def mn_to_efg(m, n, a, b, tol: float = CERT_TOL):
 
     The triple satisfies A = E + G, B = F + G with E + F + G an effect;
     concretely (E, F, G) = (A - M, N, M).  Raises InvalidCertificate if the
-    input fails its constraints at tol.  Returns plain Hermitian arrays so
-    that the round-trip with efg_to_mn is exact to machine precision.
+    input fails its constraints at tol <= CERT_TOL.  Returns plain Hermitian
+    arrays so that the round-trip with efg_to_mn is exact to machine precision.
     """
-    require_tolerance(tol)
     am, bm, mm, nm = _check_mn(a, b, m, n, tol)
     return am - mm, nm, mm
 
@@ -647,9 +657,8 @@ def mn_to_efg(m, n, a, b, tol: float = CERT_TOL):
 def efg_to_mn(e, f, g, a, b, tol: float = CERT_TOL):
     """Convert a triple certificate (E, F, G) into the split form (M, N).
 
-    Inverse of mn_to_efg: returns (G, F).
+    Inverse of mn_to_efg: returns (G, F); tol is at most CERT_TOL.
     """
-    require_tolerance(tol)
     _, _, _, fm, gm = _check_efg(a, b, e, f, g, tol)
     return gm, fm
 
@@ -670,6 +679,7 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
     Hermitian to HERMITICITY_TOL; the Z_i are read as their Hermitian
     parts.  Non-finite or wrongly shaped input fails with margin NaN.
     """
+    require_tolerance(tol)
     am, bm, *zs = _check_shapes(("A", "B", "Z2", "Z3", "Z4"), (a, b, z2, z3, z4))
     mats = np.stack((am, bm, *zs))
     if not np.isfinite(mats).all():
@@ -701,7 +711,6 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
 
 def _passes(check, *args, tol: float) -> bool:
     """Whether check(*args, tol) raises no InvalidCertificate; a bad tol raises."""
-    require_tolerance(tol)
     try:
         check(*args, tol)
     except InvalidCertificate:
@@ -713,19 +722,19 @@ def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
     """Whether (Z2, Z3, Z4) proves that A and B do not coexist.
 
     It does when the dual bound on the margin t* (see _check_dual) is below
-    -tol.  Fails closed: NaN, infinite or wrongly shaped parts, non-Hermitian
-    A or B, and the dual of a coexistent pair all give False.
+    -tol, so any tol >= 0 is sound.  Fails closed: NaN, infinite or wrongly
+    shaped parts, non-Hermitian A or B, and duals of coexistent pairs give False.
     """
     return _passes(_check_dual, a, b, z2, z3, z4, tol=tol)
 
 
 def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:
-    """Whether (M, N) certifies coexistence of (A, B) at tolerance tol."""
+    """Whether (M, N) certifies coexistence of (A, B) at tolerance tol <= CERT_TOL."""
     return _passes(_check_mn, a, b, m, n, tol=tol)
 
 
 def verify_efg(a, b, e, f, g, tol: float = CERT_TOL) -> bool:
-    """Whether (E, F, G) certifies coexistence of (A, B) at tolerance tol."""
+    """Whether (E, F, G) certifies coexistence of (A, B) at tolerance tol <= CERT_TOL."""
     return _passes(_check_efg, a, b, e, f, g, tol=tol)
 
 

@@ -121,9 +121,9 @@ def apply_trace_threshold(spec: TraceThresholdSpec, a) -> Effect:
 def trace_threshold_inverse(spec: TraceThresholdSpec, b) -> Effect:
     """Preimage of B under the trace-threshold map.
 
-    On the low-trace branch B = f(t) A with t = tr A, so tr B = t f(t);
-    t is recovered by bisection (t f(t) is a monotone bijection of [0, 1])
-    and A = (t/s) B.  The high-trace branch routes through the complement.
+    On the low-trace branch B = f(t) A with t = tr A, so s = tr B =
+    t f(t) = t^(1 + alpha); hence t = s^(1/(1 + alpha)) in closed form and
+    A = (t/s) B.  The high-trace branch routes through the complement.
     """
     eb = _effect_of_dim(b, spec.dim)
     n = spec.dim
@@ -139,15 +139,7 @@ def trace_threshold_inverse(spec: TraceThresholdSpec, b) -> Effect:
 def _inverse_low_trace(spec: TraceThresholdSpec, bm: np.ndarray, s: float) -> np.ndarray:
     if s <= 0.0:
         return bm
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if mid * spec.f(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-    t = (lo + hi) / 2.0
-    return (t / s) * bm
+    return (s ** (1.0 / (1.0 + spec.alpha)) / s) * bm
 
 
 @dataclass(frozen=True)

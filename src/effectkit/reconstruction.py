@@ -62,10 +62,6 @@ class ReconstructionResult:
         return StandardAutomorphismSpec(self.unitary, self.antiunitary, self.perp)
 
 
-def _probe(handle: MapHandle, vec: np.ndarray) -> Effect:
-    return as_effect(handle(Effect.trusted(np.outer(vec, vec.conj()))))
-
-
 def detect_perp(handle: MapHandle, dim: int) -> bool:
     """Whether the map swaps 0 and I (i.e. is complement-composed).
 
@@ -99,22 +95,22 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
     complex superposition (e_1 + i e_2)/sqrt(2) separates unitary from
     antiunitary.  The assembled frame is snapped to its polar unitary factor
     and gauged so the first non-negligible entry of column one is real
-    positive.
+    positive.  The handle is called 2 dim + 2 times; residual is the largest
+    Frobenius gap between a probe's kept image and the fit's image of it.
     """
     require_tolerance(tol)
     if dim < 2:
         raise ValueError("need dimension at least 2")
     perp = detect_perp(handle, dim)
-    if perp:
-        inner = handle
-        handle = lambda a: orthocomplement(inner(a))  # noqa: E731
 
     eye = np.eye(dim, dtype=complex)
-    probes_used: list[np.ndarray] = []
+    queried: list[tuple[Effect, np.ndarray]] = []
 
     def rank_one_image(vec: np.ndarray) -> Effect:
-        probes_used.append(vec)
-        image = _probe(handle, vec)
+        probe = Effect.trusted(np.outer(vec, vec.conj()))
+        raw = as_effect(handle(probe))
+        queried.append((probe, raw.matrix))
+        image = orthocomplement(raw) if perp else raw
         w = image.eigenvalues
         dev = max(float(np.max(np.abs(w[:-1]))), abs(float(w[-1]) - 1.0))
         if dev > tol:
@@ -161,16 +157,9 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
             u = u * (entry.conjugate() / abs(entry))
             break
 
-    result_spec = StandardAutomorphismSpec(u, antiunitary, perp)
-    original = inner if perp else handle
-    residual = 0.0
-    for vec in probes_used:
-        probe_effect = Effect.trusted(np.outer(vec, vec.conj()))
-        dev = np.linalg.norm(
-            as_effect(original(probe_effect)).matrix
-            - apply_standard(result_spec, probe_effect).matrix)
-        residual = max(residual, float(dev))
-
+    spec = StandardAutomorphismSpec(u, antiunitary, perp)
+    residual = max(float(np.linalg.norm(raw - apply_standard(spec, probe).matrix))
+                   for probe, raw in queried)
     return ReconstructionResult(u, antiunitary, perp, residual)
 
 
@@ -193,8 +182,11 @@ def verify_reconstruction(handle: MapHandle, result: ReconstructionResult,
     Trial i draws a random effect R, whose trace spreads over (0, n), and
     tests R, R/n (trace at most 1) or I - R/n (trace at least n - 1) as
     i mod 3 is 0, 1 or 2.  So a map that acts differently on low- or
-    high-trace effects, such as a trace-threshold map, shows a gap.
+    high-trace effects, such as a trace-threshold map, shows a gap.  With
+    no trial the gap would read 0, so trials < 1 raises ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = _rng(seed)
     dim = result.unitary.shape[0]
     spec = result.spec

@@ -832,5 +832,25 @@ def test_verdict_dataclass_shape():
         frozen.verdict = Verdict.NOT_COEXISTENT
 
 
+def test_witnesses_are_not_validated_again(monkeypatch):
+    # Every witness is built from validated effects, so _coexistent only
+    # symmetrises it: a scalar-rule pair, a corner hit (A + B <= I, so
+    # M = 0) and a barrier pair are all decided with the validator broken.
+    def refuse(matrix):
+        raise AssertionError("require_hermitian called on a witness")
+
+    monkeypatch.setattr(coexistence, "require_hermitian", refuse)
+    rng = trial_rng(0, "acc6:3", 14)
+    a, b = random_effect(3, seed=rng), random_effect(3, seed=rng)
+    cases = ((Effect(0.4 * np.eye(3)), a, True, Reason.SCALAR_RULE, 0),
+             (Effect(a.matrix / 3.0), Effect(b.matrix / 3.0), False,
+              Reason.FEASIBILITY_SOLVER, 0),
+             (a, b, True, Reason.FEASIBILITY_SOLVER, 3))
+    for x, y, fast, reason, steps in cases:
+        res = decide(x, y, fast_paths=fast)
+        assert res.coexistent and res.reason == reason and res.iterations == steps
+        assert verify_mn(x, y, *res.witness)
+
+
 def test_cert_tol_constant_wired():
     assert CERT_TOL == 1e-6

@@ -150,13 +150,17 @@ def test_trace_threshold_inverse_endpoint_and_middle():
 
 
 def test_trace_threshold_inverse_round_trip():
-    for alpha in (1.0, 2.0):
+    # R, R/4 (trace at most 1) and I - R/4 (trace at least 3) take the
+    # middle, low- and high-trace branches; the closed-form inverse round-
+    # trips to rounding, so a t solved only to 1e-12 would fail.
+    for alpha in (0.0, 0.5, 1.0, 2.0, 7.0):
         spec = TraceThresholdSpec(dim=4, alpha=alpha)
         for s in range(10):
-            b = random_effect(4, seed=600 + s)
-            a = trace_threshold_inverse(spec, b)
-            back = apply_trace_threshold(spec, a)
-            assert np.linalg.norm(as_matrix(back) - as_matrix(b)) <= 1e-9
+            r = as_matrix(random_effect(4, seed=600 + s))
+            for b in (Effect(r), Effect(r / 4.0), Effect(np.eye(4) - r / 4.0)):
+                a = trace_threshold_inverse(spec, b)
+                back = apply_trace_threshold(spec, a)
+                assert np.linalg.norm(as_matrix(back) - as_matrix(b)) <= 1e-13
 
 
 def test_trace_threshold_spec_validation():

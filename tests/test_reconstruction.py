@@ -100,6 +100,36 @@ def test_verify_reconstruction_flags_trace_threshold():
     assert verify_reconstruction(handle, res, trials=50, seed=42) > 0.01
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_reconstruction_needs_a_trial(trials):
+    # With no trial the gap would read 0 and pass the trace-threshold
+    # map's identity fit, whose gap at 3 trials is well above 0.1.
+    handle = preserver_handle(TraceThresholdSpec(3, 1.0))
+    fit = reconstruct(handle, 3)
+    assert verify_reconstruction(handle, fit, 3, seed=1) > 0.1
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_reconstruction(handle, fit, trials, seed=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_reconstruct_queries_each_probe_once(dim):
+    # 0 and I, dim basis projections, dim - 1 real and one complex
+    # superposition: 2 dim + 2 calls, the residual reusing the kept images.
+    for flags in range(4):
+        spec = random_standard_spec(dim, seed=70 + flags, transpose=bool(flags & 1),
+                                    perp=bool(flags & 2))
+        handle = preserver_handle(spec)
+        calls = []
+
+        def counted(e):
+            calls.append(1)
+            return handle(e)
+
+        fit = reconstruct(counted, dim)
+        assert len(calls) == 2 * dim + 2
+        assert fit.perp == bool(flags & 2) and fit.residual <= 1e-8
+
+
 def test_verify_reconstruction_identity_is_zero():
     res = reconstruct(identity_map, 2)
     assert verify_reconstruction(identity_map, res, trials=20, seed=43) <= 1e-14

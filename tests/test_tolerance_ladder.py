@@ -293,6 +293,20 @@ def test_public_functions_reject_a_bad_tolerance(name, tol):
             _TOL_TAKERS[name](a, b, tol)
 
 
+@pytest.mark.parametrize("name", ["verify_mn", "verify_efg", "mn_to_efg", "efg_to_mn"])
+@pytest.mark.parametrize("tol", [1e300, 1.0])
+def test_certificate_checks_cannot_be_loosened(name, tol):
+    # A tol above CERT_TOL would let verify_mn and verify_efg accept the
+    # constant 7 parts as a certificate; a smaller tol is only stricter.
+    a, b = _rank_one_pair()
+    with pytest.raises(ValueError, match="tol must be at most CERT_TOL"):
+        _TOL_TAKERS[name](a, b, tol)
+    m, n = decide(a, b).witness
+    e, f, g = mn_to_efg(m, n, a, b, CERT_TOL)
+    assert verify_mn(a, b, m, n, 1e-12) and verify_efg(a, b, e, f, g, CERT_TOL)
+    assert np.array_equal(efg_to_mn(e, f, g, a, b, 1e-12)[1], n.matrix)
+
+
 def test_good_tolerances_pass_and_inf_stays_internal():
     a, b = _rank_one_pair()
     res = decide(a, b)

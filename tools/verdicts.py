@@ -32,9 +32,16 @@ hashes every decision's verdict, reason, residual (``float.hex``), Newton
 steps, witness bytes and dual bytes, and the script prints ``bytes: same``
 or ``bytes: differ`` for the stream, and the same comparison over the
 decisions BASE settles in 0 Newton steps (exact rules and corner
-candidates); these lines are informational.  The exit status is 1 if a
-definite verdict flipped or became Indeterminate, or a certificate failed,
-and 0 otherwise.
+candidates); these lines are informational.
+
+The ``maps`` section fits ``reconstruct`` in each checkout to criterion 9's
+standard automorphisms (dims 2-6, 4 flag combinations, 50 specs each) and
+to the trace-threshold maps at dims 2-6 with alpha 1 and 2.  It prints
+``bytes: same`` or ``bytes: differ`` over each fit's unitary bytes, flags
+and residual (``float.hex``), and each checkout's total calls to the map
+handles; it too is informational.  The exit status is 1 if a definite
+verdict flipped or became Indeterminate, or a certificate failed, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -159,6 +166,32 @@ def _fingerprint(res, dual) -> str:
     return digest.hexdigest()
 
 
+def _map_fits():
+    """Fingerprints and total handle calls of reconstruct over the maps section."""
+    from effectkit.harness import trial_rng
+    from effectkit.preservers import TraceThresholdSpec, preserver_handle, random_standard_spec
+    from effectkit.reconstruction import reconstruct
+
+    specs = [random_standard_spec(dim, seed=trial_rng(0, f"acc9:{dim}:{flags}", index),
+                                  transpose=bool(flags & 1), perp=bool(flags & 2))
+             for dim in range(2, 7) for flags in range(4) for index in range(50)]
+    specs += [TraceThresholdSpec(dim, alpha) for dim in range(2, 7) for alpha in (1.0, 2.0)]
+    prints, calls = [], 0
+    for spec in specs:
+        handle = preserver_handle(spec)
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return handle(e)
+
+        fit = reconstruct(counted, spec.dim)
+        digest = hashlib.sha256(fit.unitary.tobytes())
+        digest.update(repr((fit.antiunitary, fit.perp, fit.residual.hex())).encode())
+        prints.append(digest.hexdigest())
+    return {"fingerprints": prints, "calls": calls}
+
+
 def emit() -> dict:
     """Verdicts, certificate failures and byte fingerprints of the effectkit on sys.path."""
     import effectkit.coexistence as co
@@ -181,6 +214,7 @@ def emit() -> dict:
             prints.append(_fingerprint(res, dual))
         out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
                        "max_witness_residual": worst, "fingerprints": prints}
+    out["maps"] = _map_fits()
     return out
 
 
@@ -249,6 +283,11 @@ def main(argv=None) -> int:
               f"decisions base settles in 0 steps: {'same' if same_settled else 'differ'}")
         print(table)
         failed |= worse or bad[1] > 0
+    maps = base["maps"], change["maps"]
+    same = maps[0]["fingerprints"] == maps[1]["fingerprints"]
+    print(f"maps: {len(maps[1]['fingerprints'])} reconstruct fits, handle calls "
+          f"(base, change): ({maps[0]['calls']}, {maps[1]['calls']})")
+    print(f"  bytes: {'same' if same else 'differ'}")
     return 1 if failed else 0
 
 
