@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .hermitian import (
+    CLASSIFY_TOL,
     DETECTION_TOL,
     HERMITICITY_TOL,
     ORDER_TOL,
@@ -44,13 +45,11 @@ from .hermitian import (
     _effect_of_dim,
     _eigh_lo,
     _eigvalsh_lo,
-    _hermitian_part,
     _lapack_checked,
     _psd_kernel,
     _rng,
     _solve1,
 )
-from .strata import classify, is_projection, is_scalar
 
 # Verdict tolerances, fixed so that each witness and dual decide returns
 # passes its verifier at CERT_TOL: ORDER_TOL <= FEAS_TOL < CERT_TOL <
@@ -145,11 +144,16 @@ def _coexistent(reason: Reason, m, n, residual: float = 0.0,
     M and N are symmetrised, not validated again: they are built from
     validated effects by eigensolvers under _lapack_checked, which raise
     rather than return NaN, and the barrier ends Indeterminate once its
-    slack spectrum is not positive (NaN included).  One stacked eigh
-    clamps both; each witness has the bytes clamped_effect would give it.
+    slack spectrum is not positive (NaN included).  One eigh clamps the
+    stack of their Hermitian parts; each witness has the bytes
+    clamped_effect would give it.
     """
+    herm = np.empty((2, *m.shape), dtype=complex)
+    for x, out in zip((m, n), herm):
+        np.add(np.conjugate(x.T, out=out), x, out=out)
+    herm /= 2.0  # (X + X*)/2, as _hermitian_part forms it
     with _lapack_checked():
-        w, v = _eigh_lo(np.stack((_hermitian_part(m), _hermitian_part(n))))
+        w, v = _eigh_lo(herm)
     mc, nc = _clipped(w, v)
     witness = (Effect.trusted(mc), Effect.trusted(nc))
     return CoexistenceVerdict(Verdict.COEXISTENT, reason, witness,
@@ -166,13 +170,6 @@ def _not_coexistent(reason: Reason, residual: float,
 # Exact fast paths
 
 
-def _rank_one_peak(e: Effect) -> np.ndarray | None:
-    """Top eigenvector if e has rank one: classify counts dim - 1 zeros."""
-    if classify(e)[1] != e.dim - 1:
-        return None
-    return e.eig.eigenvectors[:, -1]
-
-
 def fast_path(a, b) -> CoexistenceVerdict | None:
     """Exact structural rules, tried in priority order; None if none apply.
 
@@ -180,28 +177,35 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
     with exactly the effects it commutes with; (3) commuting effects coexist;
     (4) two rank-one effects with distinct images coexist exactly when their
     sum is still an effect.  Each positive verdict carries a closed-form
-    witness.  Rules 1, 2 and 4 read the effects' cached eigenvalues through
-    the strata predicates, and rule 4 their top eigenvectors.  Rule 4's
-    peak test allows ORDER_TOL, well inside what verify_mn accepts.
+    witness.  The preconditions are tested inline on each effect's cached
+    eigenvalues, read once, as is_scalar and is_projection test them at
+    DETECTION_TOL and as classify counts rank one at CLASSIFY_TOL; rule 4
+    reads the top eigenvectors of a rank-one pair only.  Its peak test
+    allows ORDER_TOL, well inside what verify_mn accepts.
     """
     ea = as_effect(a)
     eb = _effect_of_dim(b, ea.dim)
     am, bm = ea.matrix, eb.matrix
+    wa, wb = ea.eigenvalues, eb.eigenvalues
+    la, lb = wa.tolist(), wb.tolist()  # ascending
 
-    # Rule 1: scalars.  tI admits the witness M = tB, N = (1-t)B; for scalar
-    # B the mirrored split of B = tI itself is M = tA, N = t(I-A).
-    scalar, t = is_scalar(ea, DETECTION_TOL)
-    if scalar:
+    # Rule 1: scalars, whose spectra spread by at most DETECTION_TOL; t is
+    # the mean eigenvalue.  tI admits the witness M = tB, N = (1-t)B; for
+    # scalar B the mirrored split of B = tI itself is M = tA, N = t(I-A).
+    if la[-1] - la[0] <= DETECTION_TOL:
+        t = float(wa.sum() / wa.size)
         return _coexistent(Reason.SCALAR_RULE, t * bm, (1.0 - t) * bm)
-    scalar, t = is_scalar(eb, DETECTION_TOL)
-    if scalar:
-        return _coexistent(Reason.SCALAR_RULE, t * am, t * (np.eye(ea.dim) - am))
+    if lb[-1] - lb[0] <= DETECTION_TOL:
+        t = float(wb.sum() / wb.size)
+        return _coexistent(Reason.SCALAR_RULE, t * am, t * (_identity(ea.dim) - am))
 
     comm = np.linalg.norm(am @ bm - bm @ am)
     commute = comm <= DETECTION_TOL
 
-    # Rule 2: projections coexist exactly with their commutant.
-    if is_projection(ea, DETECTION_TOL) or is_projection(eb, DETECTION_TOL):
+    # Rule 2: projections (every eigenvalue within DETECTION_TOL of 0 or 1)
+    # coexist exactly with their commutant.
+    if any(all(x <= DETECTION_TOL or x >= 1.0 - DETECTION_TOL for x in ls)
+           for ls in (la, lb)):
         if commute:
             m = _meet(am, bm)
             return _coexistent(Reason.PROJECTION_RULE, m, bm - m)
@@ -212,10 +216,9 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
         m = _meet(am, bm)
         return _coexistent(Reason.COMMUTE_RULE, m, bm - m)
 
-    # Rule 4: rank-one pair with distinct images.
-    pa = _rank_one_peak(ea)
-    pb = _rank_one_peak(eb)
-    if pa is not None and pb is not None:
+    # Rule 4: rank-one pair with distinct images.  Not scalar, so dim >= 2.
+    if la[-2] <= CLASSIFY_TOL < la[-1] and lb[-2] <= CLASSIFY_TOL < lb[-1]:
+        pa, pb = ea.eig.eigenvectors[:, -1], eb.eig.eigenvectors[:, -1]
         overlap = abs(np.vdot(pa, pb)) ** 2
         if 1.0 - overlap >= DETECTION_TOL:
             peak = float(np.linalg.eigvalsh(am + bm)[-1])
@@ -272,23 +275,38 @@ def _corner_witness(am, bm, k, base):
     residual is below FEAS_TOL is the one returned.  It also settles pairs
     whose margin t* is 0, which the barrier's strictly feasible iterates
     only approach from below.  Returns (M, residual) on a hit and (meet,
-    None) on a miss, the meet being the barrier's starting point.
+    None) on a miss, the meet being the barrier's starting point.  Both
+    screens fill one buffer in place, and M = 0 is base[0].
     """
     kp = _psd_kernel(k)
-    lo = _eigvalsh_lo(np.stack((k, bm - am, am - kp, bm - kp)))
+    screen = np.empty_like(base)
+    screen[0] = k
+    np.subtract(bm, am, out=screen[1])
+    np.subtract(base[1:3], kp, out=screen[2:])  # A - K+, B - K+
+    lo = _eigvalsh_lo(screen)
     screens = (lo[0, -1] <= FEAS_TOL, lo[1, 0] >= -FEAS_TOL,
                lo[1, -1] <= FEAS_TOL, min(lo[2, 0], lo[3, 0]) >= -FEAS_TOL)
-    for cand, passes in zip((np.zeros_like(k), am, bm, kp), screens):
+    for cand, passes in zip((base[0], am, bm, kp), screens):
         if passes:
             r = _residual(cand, base)
             if r < FEAS_TOL:
                 return cand, r
     meet = _meet(am, bm)
-    if _eigvalsh_lo(np.stack((meet, meet - k)))[:, 0].min() >= -FEAS_TOL:
+    screen[0] = meet
+    np.subtract(meet, k, out=screen[1])
+    if _eigvalsh_lo(screen[:2])[:, 0].min() >= -FEAS_TOL:
         r = _residual(meet, base)
         if r < FEAS_TOL:
             return meet, r
     return meet, None
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), read-only, shared by every call at dimension n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @functools.lru_cache(maxsize=8)
@@ -354,34 +372,39 @@ def _barrier(am, bm, base, start):
     eigenvalues of G_i = U_i* dS_i U_i for the Newton step dS_i, the
     barrier along the step is -s a dt - sum log(1 + a mu) up to a constant,
     so the backtracking line search (Boyd and Vandenberghe, section 9.2)
-    needs no eigh per trial, and the slacks are updated in place; M is
-    read off as S_1 + tI.  The same G_i give the Newton-corrected dual
-    Z_i = W_i - W_i dS_i W_i = U_i (I - G_i) U_i*: it meets the dual's
-    equality constraints up to the Newton solve's rounding, and it is PSD
-    when every mu is at most 1, in which case its value bounds t* from
-    above.
+    needs no eigh per trial, and the slacks are updated in place; M =
+    S_1 + tI is formed only where it or its residual is returned.  The same
+    G_i give the Newton-corrected dual Z_i = W_i - W_i dS_i W_i = U_i (I -
+    G_i) U_i*: it meets the dual's equality constraints up to the Newton
+    solve's rounding, and it is PSD when every mu is at most 1, in which
+    case its value bounds t* from above.
 
     Returns (verdict, M or None, residual, Newton steps, dual or None).
     Runs under _lapack_checked, through _solve; a numerically singular
     Newton system ends it Indeterminate.
     """
     n = am.shape[0]
-    eye = np.eye(n)
+    eye = _identity(n)
     weights, coords = _coordinates(n)
     slacks = base + _SIGNS * start
     t = _eigvalsh_lo(slacks).min() - _START_GAP
     slacks -= t * eye
     s = None
     steps = 0
+
+    def end(verdict, dual=None):  # a result without M, at the current iterate
+        return verdict, None, _residual(slacks[0] + t * eye, base), steps, dual
+
     while True:
-        m = slacks[0] + t * eye
         w, v = _eigh_lo(slacks)
-        if not w.min() > 0.0:
+        low = w.min()
+        if not low > 0.0:
             # The line search keeps the slacks positive definite in exact
             # arithmetic; the eigensolver can no longer resolve them.
-            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
-        lower = w.min() + t  # the smallest eigenvalue of the C_i + sigma_i M
+            return end(Verdict.INDETERMINATE)
+        lower = low + t  # the smallest eigenvalue of the C_i + sigma_i M
         if lower > -FEAS_TOL:
+            m = slacks[0] + t * eye
             r = _residual(m, base)
             if r < FEAS_TOL:
                 return Verdict.COEXISTENT, m, r, steps, None
@@ -411,7 +434,7 @@ def _barrier(am, bm, base, start):
                 h = _eigvalsh_lo(hess)
                 if h[0] > hess.shape[0] * np.finfo(float).eps * h[-1]:
                     raise
-                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+                return end(Verdict.INDETERMINATE)
             if decrement_sq >= _CENTRED * _CENTRED:
                 break
             s *= _PATH_FACTOR
@@ -431,21 +454,20 @@ def _barrier(am, bm, base, start):
                 dual = z / norm
                 dual.flags.writeable = False
                 if verify_dual(am, bm, *dual):
-                    return (Verdict.NOT_COEXISTENT, None, _residual(m, base),
-                            steps, tuple(dual))
+                    return end(Verdict.NOT_COEXISTENT, tuple(dual))
             elif lower > -SEP_TOL and value < -FEAS_TOL:
                 # t* lies between -SEP_TOL and -FEAS_TOL: neither certificate
                 # can exist at these tolerances.
-                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+                return end(Verdict.INDETERMINATE)
         if steps >= MAX_STEPS:
-            return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+            return end(Verdict.INDETERMINATE)
 
         # Backtracking from just inside the boundary, where 1 + a mu = 0.
         step = min(1.0, _BOUNDARY / -mu_low) if mu_low < 0.0 else 1.0
         while s * step * dt + np.log1p(step * mu).sum() < _ARMIJO * step * decrement_sq:
             step *= _BACKTRACK
             if step < _MIN_STEP:
-                return Verdict.INDETERMINATE, None, _residual(m, base), steps, None
+                return end(Verdict.INDETERMINATE)
         slacks += step * dslacks
         t += step * dt
         steps += 1
@@ -455,16 +477,13 @@ def _barrier(am, bm, base, start):
 def _solve(am, bm):
     """Corner candidates, then the barrier method, on one ordered pair."""
     n = am.shape[0]
-    k = am + bm - np.eye(n)
-    base = np.stack((np.zeros_like(k), am, bm, -k))
+    k = am + bm - _identity(n)
+    base = np.zeros((4, n, n), dtype=complex)  # filled as (0, A, B, -K)
+    base[1], base[2], base[3] = am, bm, -k
     m, residual = _corner_witness(am, bm, k, base)
     if residual is not None:
         return Verdict.COEXISTENT, m, residual, 0, None
     return _barrier(am, bm, base, m)
-
-
-def _order_key(m: np.ndarray):
-    return (float(np.trace(m).real), m.tobytes())
 
 
 def decide(a, b, *, fast_paths: bool = True) -> CoexistenceVerdict:
@@ -500,8 +519,10 @@ def decide(a, b, *, fast_paths: bool = True) -> CoexistenceVerdict:
         if hit is not None:
             return hit
 
+    # The smaller trace goes first; the bytes, read only on a tie, break it.
     first, second = ea.matrix, eb.matrix
-    swapped = _order_key(second) < _order_key(first)
+    ta, tb = first.trace().real, second.trace().real
+    swapped = tb < ta or (tb == ta and second.tobytes() < first.tobytes())
     if swapped:
         first, second = second, first
 
@@ -624,9 +645,8 @@ def _cert_tol(tol: float):
 def _check_mn(a, b, m, n, tol: float):
     _cert_tol(tol)
     am, bm, mm, nm = _check_shapes("ABMN", (a, b, m, n))
-    eye = np.eye(am.shape[0])
     _check_psd(("M", "N", "A - M", "(I - A) - N"),
-               (mm, nm, am - mm, eye - am - nm), tol)
+               (mm, nm, am - mm, _identity(am.shape[0]) - am - nm), tol)
     _check_close("M + N = B", mm + nm, bm, tol)
     return am, bm, mm, nm
 
@@ -634,9 +654,8 @@ def _check_mn(a, b, m, n, tol: float):
 def _check_efg(a, b, e, f, g, tol: float):
     _cert_tol(tol)
     am, bm, em, fm, gm = _check_shapes("ABEFG", (a, b, e, f, g))
-    eye = np.eye(am.shape[0])
     _check_psd(("E", "F", "G", "I - (E + F + G)"),
-               (em, fm, gm, eye - em - fm - gm), tol)
+               (em, fm, gm, _identity(am.shape[0]) - em - fm - gm), tol)
     _check_close("E + G = A", em + gm, am, tol)
     _check_close("F + G = B", fm + gm, bm, tol)
     return am, bm, em, fm, gm
@@ -695,14 +714,13 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
         if not dev <= HERMITICITY_TOL:
             raise InvalidCertificate(f"{name} Hermitian", dev)
     am, bm, z2, z3, z4 = herm
-    dim = am.shape[0]
     w = np.linalg.eigvalsh(np.stack((am, bm, z2 + z3 - z4, z2, z3, z4)))
     spill = max(0.0, -w[:2, 0].min(), w[:2, -1].max() - 1.0)
     penalty = (1.0 + spill) * np.maximum(0.0, -w[2:]).sum()
     norm = 2.0 * float(np.trace(z2 + z3).real)
     if not norm > 0.0:
         raise InvalidCertificate("sum of tr Z_i > 0", norm)
-    k = am + bm - np.eye(dim)
+    k = am + bm - _identity(am.shape[0])
     value = np.vdot(z2, am).real + np.vdot(z3, bm).real - np.vdot(z4, k).real
     bound = float((value + penalty) / norm)
     if not bound < -tol:
@@ -752,7 +770,7 @@ def sample_coexistent(a, count: int, seed) -> list[Effect]:
     ea = as_effect(a)
     rng = _rng(seed)
     root = sqrt_psd(ea.matrix)
-    co_root = sqrt_psd(np.eye(ea.dim) - ea.matrix)
+    co_root = sqrt_psd(_identity(ea.dim) - ea.matrix)
     out = []
     for _ in range(count):
         r1 = random_effect(ea.dim, seed=rng).matrix

@@ -391,6 +391,52 @@ def test_solver_dual_is_normalised_and_read_only():
     assert np.array_equal(res.dual[0], z3) and np.array_equal(res.dual[1], z2)
 
 
+def _decision_bytes(res):
+    parts = [e.matrix for e in res.witness or ()] + list(res.dual or ())
+    return (res.verdict, res.reason, float(res.residual).hex(), res.iterations,
+            [x.tobytes() for x in parts])
+
+
+def test_in_place_buffers_alias_nothing():
+    """decide's stacks are filled in place; no answer may share them or an input."""
+    def diag(*w):
+        return Effect(np.diag(w).astype(complex))
+
+    pairs = [  # (A, B, reason, Newton steps taken)
+        (diag(0.3, 0.3, 0.3), random_effect(3, seed=1), Reason.SCALAR_RULE, 0),
+        (diag(1.0, 0.0, 0.0), diag(0.2, 0.5, 0.8), Reason.PROJECTION_RULE, 0),
+        (diag(0.9, 0.2, 0.4), diag(0.3, 0.8, 0.4), Reason.COMMUTE_RULE, 0),
+        (*rank_one_pair(0.6, 0.6, 0.25), Reason.RANK_ONE_RULE, 0),
+        (random_effect(2, seed=1000), random_effect(2, seed=2000), None, 0),
+        (random_effect(4, seed=1001), random_effect(4, seed=2001), None, 4),
+        (random_effect(4, seed=1008), random_effect(4, seed=2008), None, 3),
+    ]
+    effects = [e for a, b, _, _ in pairs for e in (a, b)]
+    before = [e.matrix.tobytes() for e in effects]
+    answers, arrays = [], []
+    for a, b, reason, steps in pairs:
+        for fast in (True, False):
+            res = decide(a, b, fast_paths=fast)
+            if fast or reason is None:
+                assert res.reason is (reason or Reason.FEASIBILITY_SOLVER)
+                assert res.iterations == steps
+            answers.append((a, b, fast, _decision_bytes(res)))
+            arrays.append([e.matrix for e in res.witness or ()] + list(res.dual or ()))
+    assert {a[3][0] for a in answers} == set(Verdict) - {Verdict.INDETERMINATE}
+
+    assert [e.matrix.tobytes() for e in effects] == before
+    assert not any(e.matrix.flags.writeable for e in effects)
+    for n in (2, 3, 4):
+        eye = coexistence._identity(n)
+        assert not eye.flags.writeable and np.array_equal(eye, np.eye(n))
+    for i, own in enumerate(arrays):
+        others = [x for j, xs in enumerate(arrays) if j != i for x in xs]
+        for x in own:
+            assert not any(np.shares_memory(x, y) for y in others + [e.matrix for e in effects])
+    for a, b, fast, answer in answers:
+        assert _decision_bytes(decide(a, b, fast_paths=fast)) == answer
+
+
 def test_verify_dual_fails_closed():
     a, b, dual = _not_coexistent_dual()
     dim = a.dim

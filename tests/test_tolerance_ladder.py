@@ -247,6 +247,56 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
     once_each(lambda: [canonical_form(e) for e in effects])
 
 
+# Diagonal spectra exactly on a rung of fast_path's rule tests, or 1 ulp
+# past it.  The eigensolver returns a diagonal matrix's entries exactly, so
+# each test compares the rung with itself.
+_RUNG_SPECTRA = {
+    "spread at DETECTION_TOL": [0.0, DETECTION_TOL],
+    "spread 1 ulp past DETECTION_TOL": [0.0, np.nextafter(DETECTION_TOL, 1.0)],
+    "eigenvalue at DETECTION_TOL": [DETECTION_TOL, 1.0],
+    "eigenvalue 1 ulp past DETECTION_TOL": [np.nextafter(DETECTION_TOL, 1.0), 1.0],
+    "eigenvalue at 1 - DETECTION_TOL": [0.0, 1.0 - DETECTION_TOL],
+    "eigenvalue 1 ulp short of 1 - DETECTION_TOL": [0.0, np.nextafter(1.0 - DETECTION_TOL, 0.0)],
+    "second largest at CLASSIFY_TOL": [CLASSIFY_TOL, 0.6],
+    "second largest at CLASSIFY_TOL, dim 3": [0.0, CLASSIFY_TOL, 0.6],
+    "second largest 1 ulp past CLASSIFY_TOL": [np.nextafter(CLASSIFY_TOL, 1.0), 0.6],
+    "largest at CLASSIFY_TOL": [0.0, CLASSIFY_TOL],
+    "dim 1 at 0": [0.0],
+    "dim 1 interior": [0.4],
+    "dim 1 at 1": [1.0],
+}
+
+
+def _rule_of_the_predicates(a, b):
+    """The rule fast_path must pick, by the strata predicates' answers."""
+    if is_scalar(a, DETECTION_TOL)[0] or is_scalar(b, DETECTION_TOL)[0]:
+        return Reason.SCALAR_RULE
+    if is_projection(a, DETECTION_TOL) or is_projection(b, DETECTION_TOL):
+        return Reason.PROJECTION_RULE
+    if _commutator(a, b) <= DETECTION_TOL:
+        return Reason.COMMUTE_RULE
+    if classify(a)[1] == a.dim - 1 and classify(b)[1] == b.dim - 1:
+        return Reason.RANK_ONE_RULE
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_RUNG_SPECTRA))
+def test_fast_path_picks_the_rule_of_the_predicates_on_each_rung(name):
+    values = _RUNG_SPECTRA[name]
+    dim = len(values)
+    a = Effect(np.diag(values).astype(complex))
+    assert a.eigenvalues.tolist() == sorted(values)
+    top = random_unitary(dim, seed=41)[:, 0]
+    # A full-rank and a rank-one partner.  Both commute with a only when a
+    # is within about DETECTION_TOL of 0, as a spread of exactly
+    # DETECTION_TOL forces: a float difference of exactly 1e-9 needs
+    # operands below 2^-30.
+    for b in (_generic(dim, 42), Effect(0.7 * np.outer(top, top.conj()))):
+        for x, y in ((a, b), (b, a)):
+            res = fast_path(x, y)
+            assert (None if res is None else res.reason) == _rule_of_the_predicates(x, y)
+
+
 def _rank_one_pair():
     """Rank-one effects at 45 degrees whose sum peaks at 0.9: Coexistent."""
     turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)

@@ -139,10 +139,7 @@ def _pairs(stream):
                         transpose=bool(flags & 1), perp=bool(flags & 2))
                     yield apply_standard(spec, a), apply_standard(spec, b), True
     elif stream == "generic":
-        sys.path.insert(0, str(HERE / "bench"))
-        from workloads import Generic
-
-        for case in Generic(0, HERE / ".bench_work").round_inputs(0):
+        for case in bench_round("generic", 0):
             yield case.a, case.b, True
     elif stream == "edge":
         for dim in EDGE_DIMS:
@@ -152,6 +149,20 @@ def _pairs(stream):
         for dim in MIXED_DIMS:
             for a, b in _mixed_pairs(dim, 100, seed=100 + dim):
                 yield a, b, False
+
+
+def bench_round(workload, seed):
+    """Round 0 of the benchmark's ``generic`` or ``rules`` workload at seed.
+
+    The workloads import the ``effectkit`` found in sys.modules or on
+    sys.path when the bench module is first imported.
+    """
+    if str(HERE / "bench") not in sys.path:
+        sys.path.insert(0, str(HERE / "bench"))
+    import workloads
+
+    cls = {"generic": workloads.Generic, "rules": workloads.Rules}[workload]
+    return cls(seed, HERE / ".bench_work").round_inputs(0)
 
 
 def _fingerprint(res, dual) -> str:
