@@ -45,6 +45,7 @@ from .hermitian import (
     _effect_of_dim,
     _eigh_lo,
     _eigvalsh_lo,
+    _identity,
     _lapack_checked,
     _psd_kernel,
     _rng,
@@ -155,7 +156,7 @@ def _coexistent(reason: Reason, m, n, residual: float = 0.0,
     with _lapack_checked():
         w, v = _eigh_lo(herm)
     mc, nc = _clipped(w, v)
-    witness = (Effect.trusted(mc), Effect.trusted(nc))
+    witness = (Effect._owned(mc), Effect._owned(nc))
     return CoexistenceVerdict(Verdict.COEXISTENT, reason, witness,
                               float(residual), iterations)
 
@@ -299,14 +300,6 @@ def _corner_witness(am, bm, k, base):
         if r < FEAS_TOL:
             return meet, r
     return meet, None
-
-
-@functools.lru_cache(maxsize=8)
-def _identity(n: int) -> np.ndarray:
-    """np.eye(n), read-only, shared by every call at dimension n."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,6 +9,7 @@ values can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -87,8 +88,8 @@ def _as_square_array(matrix) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*)/2, an exactly Hermitian array."""
-    return (m + m.conj().T) / 2.0
+    """(M + M*)/2, an exactly Hermitian array; M may be a stack."""
+    return (m + m.conj().mT) / 2.0
 
 
 def require_hermitian(matrix) -> np.ndarray:
@@ -167,8 +168,13 @@ class Effect:
         Skips validation and clamping; only for internal call sites that have
         just produced the matrix from vetted ingredients.
         """
+        return cls._owned(np.array(matrix, dtype=complex))
+
+    @classmethod
+    def _owned(cls, m: np.ndarray) -> "Effect":
+        """Effect.trusted without the copy: m is a complex array that its
+        caller has just made and hands over.  m is marked read-only."""
         eff = object.__new__(cls)
-        m = np.array(matrix, dtype=complex)
         m.flags.writeable = False
         eff._matrix = m
         eff._eigenvalues = eff._eig = None
@@ -250,10 +256,18 @@ def zero_effect(dim: int) -> Effect:
     return Effect.trusted(np.zeros((dim, dim), dtype=complex))
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), read-only, shared by every call at dimension n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def orthocomplement(a) -> Effect:
     """The complementary effect I - A."""
     e = as_effect(a)
-    return Effect.trusted(np.eye(e.dim, dtype=complex) - e.matrix)
+    return Effect._owned(_identity(e.dim) - e.matrix)
 
 
 def trace(matrix) -> float:
@@ -358,15 +372,14 @@ def direct_sum(blocks: Sequence) -> np.ndarray:
     return out
 
 
-def _conjugate(m: np.ndarray, u: np.ndarray) -> Effect:
-    """U M U*, symmetrised, wrapped unchecked.
+def _conjugate(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U M U*, symmetrised, unchecked; M may be a stack of matrices.
 
     The caller vouches that M is an effect and U is unitary: conjugate
     checks both on every call, a map spec checks its unitary once when it
     is built.
     """
-    out = u @ m @ u.conj().T
-    return Effect.trusted(_hermitian_part(out))
+    return _hermitian_part(u @ m @ u.conj().T)
 
 
 def conjugate(a, unitary, transpose: bool = False) -> Effect:
@@ -379,7 +392,7 @@ def conjugate(a, unitary, transpose: bool = False) -> Effect:
     """
     e = as_effect(a)
     u = require_unitary(unitary)
-    return _conjugate(e.matrix.T if transpose else e.matrix, u)
+    return Effect._owned(_conjugate(e.matrix.T if transpose else e.matrix, u))
 
 
 def require_unitary(u) -> np.ndarray:
@@ -402,23 +415,48 @@ def _raise_qr_error(err, flag):
         "Incorrect argument found while performing QR factorization")
 
 
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def _haar_stack(dim: int, count: int, rng: np.random.Generator,
+                interior: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """count Haar unitaries, drawn from rng in turn, each after `interior`
+    uniforms on [0, 1) if given (returned as a (count, interior) array).
 
-    The R factor's diagonal phases are divided out, which is what makes the
-    distribution Haar rather than merely orthogonally invariant.  The QR is
-    the one np.linalg.qr runs, called without its wrapper: the Gaussian
-    matrix is factored in place and R's diagonal read from it.  The result
-    is unitary by construction and is not checked again.
+    Each is Q of a complex Gaussian matrix's QR with R's diagonal phases
+    divided out, so it is Haar and unitary by construction.  All count
+    matrices are factored by one in-place call of np.linalg.qr's gufuncs.
     """
-    rng = _rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = np.empty((count, dim, dim), dtype=complex)
+    uniform = None if interior is None else np.empty((count, interior))
+    for i in range(count):
+        if uniform is not None:
+            uniform[i] = rng.random(interior)
+        z[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     with np.errstate(call=_raise_qr_error, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         tau = _qr_r_raw(z, signature="D->D")
         q = _qr_reduced(z, tau, signature="DD->D")
-    d = np.diagonal(z)
-    return q * (d / np.abs(d))
+    d = np.diagonal(z, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :], uniform
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary: the count-1 case of _haar_stack."""
+    return _haar_stack(dim, 1, _rng(seed))[0][0]
+
+
+def _random_effects(dim: int, count: int, stratum: tuple[int, int] | None,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Stack with the bytes, and leaving rng in the state, of count calls
+    random_effect(dim, stratum, seed=rng); only the draws are serial."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    p, q = (0, 0) if stratum is None else stratum
+    if p < 0 or q < 0 or p + q > dim:
+        raise ValueError(f"stratum {stratum} does not fit dimension {dim}")
+    u, uniform = _haar_stack(dim, count, rng, dim - p - q)
+    lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
+    vals = np.concatenate([np.ones((count, p)), lo + (hi - lo) * uniform,
+                           np.zeros((count, q))], axis=1)
+    return _hermitian_part((u * vals[:, None, :]) @ u.conj().mT)
 
 
 def random_effect(dim: int, stratum: tuple[int, int] | None = None, *, seed) -> Effect:
@@ -428,27 +466,9 @@ def random_effect(dim: int, stratum: tuple[int, int] | None = None, *, seed) -> 
     eigenvalue 0 to q; the remaining eigenvalues are drawn uniformly from the
     open interval, at least INTERIOR_MARGIN away from both ends.  Without a
     stratum all eigenvalues are interior, i.e. the effect lands in the (0, 0)
-    stratum.
+    stratum.  It is the count-1 case of the stacked draw _random_effects.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if stratum is None:
-        p, q = 0, 0
-    else:
-        p, q = stratum
-        if p < 0 or q < 0 or p + q > dim:
-            raise ValueError(f"stratum {stratum} does not fit dimension {dim}")
-    rng = _rng(seed)
-    interior = dim - p - q
-    lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
-    vals = np.concatenate([
-        np.ones(p),
-        lo + (hi - lo) * rng.random(interior),
-        np.zeros(q),
-    ])
-    u = random_unitary(dim, rng)
-    m = (u * vals) @ u.conj().T
-    return Effect.trusted(_hermitian_part(m))
+    return Effect._owned(_random_effects(dim, 1, stratum, _rng(seed))[0])
 
 
 def random_projection(dim: int, rank: int, seed) -> Effect:

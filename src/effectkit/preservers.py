@@ -20,12 +20,12 @@ from .hermitian import (
     clamped_effect,
     direct_sum,
     operator_norm,
-    orthocomplement,
     random_unitary,
     require_unitary,
     trace,
     _conjugate,
     _effect_of_dim,
+    _identity,
     _rng,
 )
 from .strata import is_scalar
@@ -57,12 +57,14 @@ class StandardAutomorphismSpec:
         return self.unitary.shape[0]
 
 
+def _standard_images(spec: StandardAutomorphismSpec, m: np.ndarray) -> np.ndarray:
+    """apply_standard's matrix for an effect's matrix, or for a stack of them."""
+    out = _conjugate(m.mT if spec.transpose else m, spec.unitary)
+    return _identity(spec.dim) - out if spec.perp else out
+
+
 def apply_standard(spec: StandardAutomorphismSpec, a) -> Effect:
-    m = _effect_of_dim(a, spec.dim).matrix
-    out = _conjugate(m.T if spec.transpose else m, spec.unitary)
-    if spec.perp:
-        out = orthocomplement(out)
-    return out
+    return Effect._owned(_standard_images(spec, _effect_of_dim(a, spec.dim).matrix))
 
 
 def random_standard_spec(dim: int, seed, transpose: bool | None = None,
@@ -318,7 +320,7 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
             bp = np.ascontiguousarray(np.round(pm.view(float), 6)).tobytes()
             canonical = am if ba <= bp else pm
         flip = bool(_pair_bit(spec, canonical))
-    return _conjugate(pm if flip else am, spec.unitary)
+    return Effect._owned(_conjugate(pm if flip else am, spec.unitary))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ import numpy as np
 from .hermitian import (
     Effect,
     as_effect,
-    orthocomplement,
-    random_effect,
     require_tolerance,
+    _identity,
+    _random_effects,
     _rng,
 )
-from .preservers import StandardAutomorphismSpec, apply_standard
+from .preservers import StandardAutomorphismSpec, _standard_images
 
 # An evaluation capability for a fixed-dimension map on effects.
 MapHandle = Callable[[Effect], Effect]
@@ -69,7 +69,7 @@ def detect_perp(handle: MapHandle, dim: int) -> bool:
     InconsistentMap when either image is far from both candidates (threshold
     0.1 * sqrt(dim) in Frobenius norm).
     """
-    eye = np.eye(dim, dtype=complex)
+    eye = _identity(dim)
     scale = 0.1 * np.sqrt(dim)
 
     def classify(image: np.ndarray, label: str) -> bool:
@@ -80,7 +80,7 @@ def detect_perp(handle: MapHandle, dim: int) -> bool:
                 f"map({label}) is {to_zero:.3g} from 0 and {to_eye:.3g} from I")
         return to_eye < to_zero
 
-    at_zero = classify(as_effect(handle(Effect.trusted(np.zeros_like(eye)))).matrix, "0")
+    at_zero = classify(as_effect(handle(Effect.trusted(np.zeros((dim, dim))))).matrix, "0")
     at_eye = classify(as_effect(handle(Effect.trusted(eye))).matrix, "I")
     if at_zero == at_eye:
         raise InconsistentMap("images of 0 and I land on the same candidate")
@@ -95,33 +95,38 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
     complex superposition (e_1 + i e_2)/sqrt(2) separates unitary from
     antiunitary.  The assembled frame is snapped to its polar unitary factor
     and gauged so the first non-negligible entry of column one is real
-    positive.  The handle is called 2 dim + 2 times; residual is the largest
-    Frobenius gap between a probe's kept image and the fit's image of it.
+    positive.  The handle is called 2 dim + 2 times, at 0, I and then the
+    probes in the order above, all before any image is checked: a map that
+    fails a check has seen every query.  One stacked eigh decomposes the
+    images, which are checked in probe order.  residual is the largest
+    Frobenius gap between a probe's image and the fit's image of it.
     """
     require_tolerance(tol)
     if dim < 2:
         raise ValueError("need dimension at least 2")
     perp = detect_perp(handle, dim)
 
-    eye = np.eye(dim, dtype=complex)
-    queried: list[tuple[Effect, np.ndarray]] = []
+    eye = _identity(dim)
+    vecs = np.concatenate([eye, (eye[0] + eye[1:]) / np.sqrt(2.0),
+                           [(eye[0] + 1j * eye[1]) / np.sqrt(2.0)]])
+    probes = vecs[:, :, None] * vecs.conj()[:, None, :]
+    probes.flags.writeable = False
+    raw = np.stack([as_effect(handle(Effect._owned(p))).matrix for p in probes])
+    images = eye - raw if perp else raw
+    w, v = np.linalg.eigh(images)
+    devs = np.maximum(np.abs(w[:, :-1]).max(axis=1), np.abs(w[:, -1] - 1.0))
 
-    def rank_one_image(vec: np.ndarray) -> Effect:
-        probe = Effect.trusted(np.outer(vec, vec.conj()))
-        raw = as_effect(handle(probe))
-        queried.append((probe, raw.matrix))
-        image = orthocomplement(raw) if perp else raw
-        w = image.eigenvalues
-        dev = max(float(np.max(np.abs(w[:-1]))), abs(float(w[-1]) - 1.0))
-        if dev > tol:
+    def projection_image(k: int) -> np.ndarray:
+        if devs[k] > tol:
             raise NonProjectionImage(
-                f"probe image spectrum is {dev:.3g} away from {{0, 1}}")
-        return image
+                f"probe image spectrum is {devs[k]:.3g} away from {{0, 1}}")
+        return images[k]
 
-    u = np.stack([rank_one_image(eye[:, j]).eig.eigenvectors[:, -1]
-                  for j in range(dim)], axis=1)
+    for k in range(dim):
+        projection_image(k)
+    u = v[:dim, :, -1].T.copy()
 
-    gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    gram_dev = float(np.max(np.abs(u.conj().T @ u - eye)))
     if gram_dev > max(tol, 1e-7):
         raise NonOrthogonalImages(
             f"Gram matrix of column images deviates from I by {gram_dev:.3g}")
@@ -130,8 +135,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
     # columns 1 and j, and the cross element <u_1, image u_j> equals
     # e^{i(theta_j - theta_1)}/2 under the true map.
     for j in range(1, dim):
-        vec = (eye[:, 0] + eye[:, j]) / np.sqrt(2.0)
-        image = rank_one_image(vec).matrix
+        image = projection_image(dim + j - 1)
         z = complex(u[:, 0].conj() @ image @ u[:, j])
         if abs(z) < 0.1:
             raise PhaseFitFailure(
@@ -140,8 +144,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
 
     # With phases aligned, the complex probe's cross element is -i/2 for a
     # unitary map and +i/2 for an antiunitary one.
-    vec = (eye[:, 0] + 1j * eye[:, 1]) / np.sqrt(2.0)
-    image = rank_one_image(vec).matrix
+    image = projection_image(2 * dim - 1)
     z = complex(u[:, 0].conj() @ image @ u[:, 1])
     if abs(z.imag) < 0.1:
         raise PhaseFitFailure(
@@ -158,8 +161,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
             break
 
     spec = StandardAutomorphismSpec(u, antiunitary, perp)
-    residual = max(float(np.linalg.norm(raw - apply_standard(spec, probe).matrix))
-                   for probe, raw in queried)
+    residual = max(float(np.linalg.norm(d)) for d in raw - _standard_images(spec, probes))
     return ReconstructionResult(u, antiunitary, perp, residual)
 
 
@@ -184,19 +186,19 @@ def verify_reconstruction(handle: MapHandle, result: ReconstructionResult,
     i mod 3 is 0, 1 or 2.  So a map that acts differently on low- or
     high-trace effects, such as a trace-threshold map, shows a gap.  With
     no trial the gap would read 0, so trials < 1 raises ValueError.
+    The trials are drawn as one stack, leaving a Generator seed where
+    trials random_effect calls would, then the handle is called on each.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    rng = _rng(seed)
-    dim = result.unitary.shape[0]
     spec = result.spec
+    dim = spec.dim
+    trial = _random_effects(dim, trials, None, _rng(seed))
+    trial[np.arange(trials) % 3 > 0] /= dim
+    trial[2::3] = _identity(dim) - trial[2::3]
+    trial.flags.writeable = False
     worst = 0.0
-    for i in range(trials):
-        a = random_effect(dim, seed=rng)
-        if i % 3:
-            low = a.matrix / dim
-            a = Effect.trusted(low if i % 3 == 1 else np.eye(dim) - low)
-        dev = np.linalg.norm(as_effect(handle(a)).matrix
-                             - apply_standard(spec, a).matrix)
+    for m, fitted in zip(trial, _standard_images(spec, trial)):
+        dev = np.linalg.norm(as_effect(handle(Effect._owned(m))).matrix - fitted)
         worst = max(worst, float(dev))
     return worst

@@ -465,6 +465,44 @@ def test_private_lapack_gufuncs_match_their_wrappers():
         assert x.tobytes() == np.linalg.solve(m, rhs).tobytes()
 
 
+def _serial_random_effect(dim, stratum, rng):
+    """random_effect's matrix as one draw at a time computes it: the reference."""
+    p, q = stratum or (0, 0)
+    lo, hi = hermitian.INTERIOR_MARGIN, 1.0 - hermitian.INTERIOR_MARGIN
+    vals = np.concatenate([np.ones(p), lo + (hi - lo) * rng.random(dim - p - q), np.zeros(q)])
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    qf, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    u = qf * (diag / np.abs(diag))
+    m = (u * vals) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_stacked_draws_are_serial_draws_bit_for_bit(dim):
+    # k draws taken as one stack have the bytes of k single draws, and of the
+    # serial reference, and leave the generator in the same state.
+    strata = [None, (0, 0), (1, 0), (0, 1), (dim, 0), (dim // 2, (dim - 1) // 2)]
+    for s in range(50):
+        k = 1 + s % 4
+        for stratum in strata:
+            stacked, single, ref = (np.random.default_rng(s) for _ in range(3))
+            stack = hermitian._random_effects(dim, k, stratum, stacked)
+            assert stack.shape == (k, dim, dim)
+            assert stack.tobytes() == b"".join(
+                random_effect(dim, stratum, seed=single).matrix.tobytes() for _ in range(k))
+            assert stack.tobytes() == b"".join(
+                _serial_random_effect(dim, stratum, ref).tobytes() for _ in range(k))
+            assert stacked.bit_generator.state == single.bit_generator.state
+            assert stacked.bit_generator.state == ref.bit_generator.state
+        stacked, single = np.random.default_rng(s), np.random.default_rng(s)
+        unitaries, uniform = hermitian._haar_stack(dim, k, stacked)
+        assert uniform is None
+        assert unitaries.tobytes() == b"".join(
+            random_unitary(dim, single).tobytes() for _ in range(k))
+        assert stacked.bit_generator.state == single.bit_generator.state
+
+
 def test_random_effect_strata_pinning():
     full = random_effect(3, stratum=(3, 0), seed=1)
     assert np.allclose(as_matrix(full), np.eye(3), atol=1e-12)

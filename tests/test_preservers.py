@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from effectkit import hermitian
 from effectkit.coexistence import Verdict, decide, decide_blockwise, sample_coexistent
 from effectkit.hermitian import (
     Effect,
@@ -404,3 +405,26 @@ def test_ges_images_are_the_checked_conjugations_bit_for_bit(selector):
         assert image in (straight, crossed)
         routes.add(image == straight)
     assert routes == ({True, False} if selector == "hash" else {True})
+
+
+def test_returned_effects_are_read_only_and_own_their_arrays():
+    # Maps, complements, conjugations, draws and witnesses hand over arrays
+    # they have just made, uncopied: none may be writable or share memory
+    # with an input, a spec's unitary or the cached identity.
+    a = random_effect(3, seed=54)
+    standard = [random_standard_spec(3, seed=55, transpose=bool(flags & 1),
+                                     perp=bool(flags & 2)) for flags in range(4)]
+    ges = random_ges_spec(3, seed=56)
+    made = [orthocomplement(a), conjugate(a, ges.unitary), conjugate(a, ges.unitary, True),
+            Effect.trusted(a.matrix), random_effect(3, seed=57),
+            apply_ges_bijective(ges, a), apply_ges_bijective(ges, orthocomplement(a))]
+    made += [apply_standard(spec, a) for spec in standard]
+    for b in (Effect(0.3 * np.eye(3)), random_effect(3, seed=58)):
+        res = decide(a, b)
+        assert res.verdict is Verdict.COEXISTENT
+        made += res.witness
+    shared = [a.matrix, ges.unitary, hermitian._identity(3), *(s.unitary for s in standard)]
+    for i, out in enumerate(made):
+        assert not out.matrix.flags.writeable
+        others = [e.matrix for j, e in enumerate(made) if j != i]
+        assert not any(np.shares_memory(out.matrix, x) for x in shared + others)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from effectkit.hermitian import (
 from effectkit.preservers import (
     StandardAutomorphismSpec,
     TraceThresholdSpec,
+    apply_standard,
     preserver_handle,
+    random_ges_spec,
     random_standard_spec,
 )
 from effectkit.reconstruction import (
@@ -111,22 +115,36 @@ def test_verify_reconstruction_needs_a_trial(trials):
         verify_reconstruction(handle, fit, trials, seed=1)
 
 
+# The number of effects reconstruct hands the map, and the sha256 of their
+# bytes in order: a literal, so that any change to what the map sees, or
+# when, fails here.
+PROBE_SEQUENCES = {
+    2: (6, "856eaf0a7133d3370a3bc188bd1a2c45fe6ee57af4ddf8f38ac632b24dddf883"),
+    3: (8, "d86c50f31a9f07391bad4af3d50e7123569e39a712146b55a6f449c332441c76"),
+    4: (10, "71ee587178baef5c42c027abc0a532e1c975e82fb38282d45415594c5b94bef1"),
+    5: (12, "5667239129ce0fd15221b98a413ba86c62cd1497d5006101d308e452b6e821f9"),
+    6: (14, "745b27f174a8e305679dcc9d6f02a91f81732dd1b0125d33c9534a4e86299d04"),
+}
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_reconstruct_queries_each_probe_once(dim):
-    # 0 and I, dim basis projections, dim - 1 real and one complex
-    # superposition: 2 dim + 2 calls, the residual reusing the kept images.
+    # 0 and I, dim basis projections, dim - 1 real superpositions
+    # (e_1 + e_j)/sqrt 2 and (e_1 + i e_2)/sqrt 2, in that order: 2 dim + 2
+    # calls, the residual reusing the kept images.
     for flags in range(4):
         spec = random_standard_spec(dim, seed=70 + flags, transpose=bool(flags & 1),
                                     perp=bool(flags & 2))
         handle = preserver_handle(spec)
-        calls = []
+        seen = []
 
-        def counted(e):
-            calls.append(1)
+        def recorded(e):
+            seen.append(e.matrix.tobytes())
             return handle(e)
 
-        fit = reconstruct(counted, dim)
-        assert len(calls) == 2 * dim + 2
+        fit = reconstruct(recorded, dim)
+        assert len(seen) == 2 * dim + 2
+        assert (len(seen), hashlib.sha256(b"".join(seen)).hexdigest()) == PROBE_SEQUENCES[dim]
         assert fit.perp == bool(flags & 2) and fit.residual <= 1e-8
 
 
@@ -135,24 +153,33 @@ def test_verify_reconstruction_identity_is_zero():
     assert verify_reconstruction(identity_map, res, trials=20, seed=43) <= 1e-14
 
 
+def shrink(a):
+    return clamped_effect(0.9 * as_matrix(a) + 0.05 / a.dim
+                          * np.trace(as_matrix(a)).real * np.eye(a.dim))
+
+
+def collapse(a):
+    """Fixes 0 and I, sends every other effect to e1·e1*."""
+    m = as_matrix(a)
+    if np.allclose(m, 0.0) or np.allclose(m, np.eye(3)):
+        return a
+    return Effect(np.diag([1.0, 0.0, 0.0]).astype(complex))
+
+
+def tamper(a):
+    """Fixes every effect but the (e1+e2) superposition probe, sent to e3·e3*."""
+    m = as_matrix(a)
+    if abs(m[0, 1] - 0.5) < 1e-12 and abs(m[0, 0] - 0.5) < 1e-12:
+        return Effect(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    return a
+
+
 def test_non_projection_image():
-    def shrink(a):
-        return clamped_effect(0.9 * as_matrix(a) + 0.05 / a.dim
-                              * np.trace(as_matrix(a)).real * np.eye(a.dim))
     with pytest.raises(NonProjectionImage):
         reconstruct(shrink, 3)
 
 
 def test_non_orthogonal_images():
-    pin = np.zeros((3, 3), dtype=complex)
-    pin[0, 0] = 1.0
-
-    def collapse(a):
-        m = as_matrix(a)
-        if np.allclose(m, 0.0) or np.allclose(m, np.eye(3)):
-            return a
-        return Effect(pin)
-
     with pytest.raises(NonOrthogonalImages):
         reconstruct(collapse, 3)
 
@@ -161,17 +188,69 @@ def test_phase_fit_failure_on_rerouted_superposition():
     """Basis probes pass through, but the (e1+e2) superposition probe lands
     on e3·e3*, so the cross element that should fix the relative phase
     vanishes."""
-    reroute = np.zeros((3, 3), dtype=complex)
-    reroute[2, 2] = 1.0
-
-    def tamper(a):
-        m = as_matrix(a)
-        if abs(m[0, 1] - 0.5) < 1e-12 and abs(m[0, 0] - 0.5) < 1e-12:
-            return Effect(reroute)
-        return a
-
     with pytest.raises(PhaseFitFailure):
         reconstruct(tamper, 3)
+
+
+# Failing maps: the exception and message reconstruct raises, and how many
+# queries the map has seen by then.  A map that fails a probe check has
+# seen all 2 dim + 2 queries, since every probe is queried before any
+# image is checked; one that fails in detect_perp has seen 1 or 2.
+@pytest.mark.parametrize("make, dim, error, message, queries", [
+    (lambda: shrink, 3, NonProjectionImage,
+     "probe image spectrum is 0.0833 away from {0, 1}", 8),
+    (lambda: collapse, 3, NonOrthogonalImages,
+     "Gram matrix of column images deviates from I by 1", 8),
+    (lambda: tamper, 3, PhaseFitFailure, "superposition probe 1 gave cross element 0", 8),
+    (lambda: preserver_handle(random_ges_spec(2, seed=0)), 2, InconsistentMap,
+     "map(0) is 0.867 from 0 and 0.547 from I", 1),
+    (lambda: preserver_handle(random_ges_spec(3, seed=1)), 3, InconsistentMap,
+     "map(I) is 0.77 from 0 and 0.962 from I", 2),
+    (lambda: preserver_handle(random_ges_spec(5, seed=3)), 5, InconsistentMap,
+     "map(0) is 0.258 from 0 and 1.98 from I", 1),
+], ids=["shrink", "collapse", "tamper", "ges0", "ges1", "ges3"])
+def test_failing_maps_raise_as_before(make, dim, error, message, queries):
+    handle, calls = make(), []
+
+    def counted(e):
+        calls.append(1)
+        return handle(e)
+
+    with pytest.raises(error) as info:
+        reconstruct(counted, dim)
+    assert type(info.value) is error and str(info.value) == message
+    assert len(calls) == queries
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 7, 20])
+def test_verify_reconstruction_draws_as_serial_random_effects(trials):
+    # The handle sees R, R/n, I - R/n from trials random_effect draws in a
+    # row, the gap is the per-trial loop's, and a Generator seed ends where
+    # those draws leave it.
+    for dim in (2, 3, 5):
+        spec = random_standard_spec(dim, seed=80 + dim, transpose=True, perp=dim % 2 == 1)
+        handle = preserver_handle(spec)
+        fit = reconstruct(handle, dim)
+        seen = []
+
+        def recorded(e):
+            seen.append(e.matrix.tobytes())
+            return handle(e)
+
+        rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+        gap = verify_reconstruction(recorded, fit, trials, seed=rng)
+        want, worst = [], 0.0
+        for i in range(trials):
+            a = random_effect(dim, seed=ref)
+            if i % 3:
+                low = a.matrix / dim
+                a = Effect.trusted(low if i % 3 == 1 else np.eye(dim) - low)
+            want.append(a.matrix.tobytes())
+            worst = max(worst, float(np.linalg.norm(
+                handle(a).matrix - apply_standard(fit.spec, a).matrix)))
+        assert seen == want
+        assert gap.hex() == worst.hex()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_phase_aligned_distance_quotient():

@@ -36,10 +36,14 @@ candidates); these lines are informational.
 
 The ``maps`` section fits ``reconstruct`` in each checkout to criterion 9's
 standard automorphisms (dims 2-6, 4 flag combinations, 50 specs each) and
-to the trace-threshold maps at dims 2-6 with alpha 1 and 2.  It prints
-``bytes: same`` or ``bytes: differ`` over each fit's unitary bytes, flags
-and residual (``float.hex``), and each checkout's total calls to the map
-handles; it too is informational.  The exit status is 1 if a definite
+to the trace-threshold maps at dims 2-6 with alpha 1 and 2, and checks the
+i-th fit with ``verify_reconstruction(handle, fit, 20, seed=i)``.  It also
+fits 40 seeded ``random_ges_spec`` maps (dims 2-6 in turn, seed i), which
+are not standard, and records the name of the exception each raises, or
+``ok``.  It prints ``bytes: same`` or ``bytes: differ`` over each fit's
+unitary bytes, flags, residual and gap (``float.hex``) and each ges
+outcome, and each checkout's total calls to the map handles during the
+fits of the first two groups; it too is informational.  The exit status is 1 if a definite
 verdict flipped or became Indeterminate, or a certificate failed, and 0
 otherwise.
 """
@@ -152,7 +156,7 @@ def _pairs(stream):
 
 
 def bench_round(workload, seed):
-    """Round 0 of the benchmark's ``generic`` or ``rules`` workload at seed.
+    """Round 0 of the benchmark's ``generic``, ``rules`` or ``symmetry`` workload.
 
     The workloads import the ``effectkit`` found in sys.modules or on
     sys.path when the bench module is first imported.
@@ -161,7 +165,8 @@ def bench_round(workload, seed):
         sys.path.insert(0, str(HERE / "bench"))
     import workloads
 
-    cls = {"generic": workloads.Generic, "rules": workloads.Rules}[workload]
+    cls = {"generic": workloads.Generic, "rules": workloads.Rules,
+           "symmetry": workloads.Symmetry}[workload]
     return cls(seed, HERE / ".bench_work").round_inputs(0)
 
 
@@ -178,17 +183,22 @@ def _fingerprint(res, dual) -> str:
 
 
 def _map_fits():
-    """Fingerprints and total handle calls of reconstruct over the maps section."""
+    """Fingerprints, handle calls and ges outcomes of the maps section."""
     from effectkit.harness import trial_rng
-    from effectkit.preservers import TraceThresholdSpec, preserver_handle, random_standard_spec
-    from effectkit.reconstruction import reconstruct
+    from effectkit.preservers import (
+        TraceThresholdSpec,
+        preserver_handle,
+        random_ges_spec,
+        random_standard_spec,
+    )
+    from effectkit.reconstruction import reconstruct, verify_reconstruction
 
     specs = [random_standard_spec(dim, seed=trial_rng(0, f"acc9:{dim}:{flags}", index),
                                   transpose=bool(flags & 1), perp=bool(flags & 2))
              for dim in range(2, 7) for flags in range(4) for index in range(50)]
     specs += [TraceThresholdSpec(dim, alpha) for dim in range(2, 7) for alpha in (1.0, 2.0)]
     prints, calls = [], 0
-    for spec in specs:
+    for index, spec in enumerate(specs):
         handle = preserver_handle(spec)
 
         def counted(e):
@@ -198,9 +208,18 @@ def _map_fits():
 
         fit = reconstruct(counted, spec.dim)
         digest = hashlib.sha256(fit.unitary.tobytes())
-        digest.update(repr((fit.antiunitary, fit.perp, fit.residual.hex())).encode())
+        gap = verify_reconstruction(handle, fit, 20, seed=index)
+        digest.update(repr((fit.antiunitary, fit.perp, fit.residual.hex(), gap.hex())).encode())
         prints.append(digest.hexdigest())
-    return {"fingerprints": prints, "calls": calls}
+    ges = []
+    for index in range(40):
+        spec = random_ges_spec(2 + index % 5, seed=index)
+        try:
+            reconstruct(preserver_handle(spec), spec.dim)
+            ges.append("ok")
+        except ValueError as exc:
+            ges.append(type(exc).__name__)
+    return {"fingerprints": prints, "calls": calls, "ges": ges}
 
 
 def emit() -> dict:
@@ -296,9 +315,12 @@ def main(argv=None) -> int:
         failed |= worse or bad[1] > 0
     maps = base["maps"], change["maps"]
     same = maps[0]["fingerprints"] == maps[1]["fingerprints"]
+    same_ges = maps[0]["ges"] == maps[1]["ges"]
     print(f"maps: {len(maps[1]['fingerprints'])} reconstruct fits, handle calls "
-          f"(base, change): ({maps[0]['calls']}, {maps[1]['calls']})")
-    print(f"  bytes: {'same' if same else 'differ'}")
+          f"(base, change): ({maps[0]['calls']}, {maps[1]['calls']}); "
+          f"{len(maps[1]['ges'])} ges fits: {dict(sorted(Counter(maps[1]['ges']).items()))}")
+    print(f"  bytes: {'same' if same else 'differ'}; "
+          f"ges outcomes: {'same' if same_ges else 'differ'}")
     return 1 if failed else 0
 
 
