@@ -14,7 +14,6 @@ import sys
 import traceback
 
 from .coexistence import Verdict, decide, mn_to_efg
-from .harness import SUITE_NAMES, HarnessConfig, run_all, trial_rng, write_report
 from .hermitian import (
     CLASSIFY_TOL,
     DimensionMismatch,
@@ -22,6 +21,7 @@ from .hermitian import (
     SpectrumOutOfRange,
     as_effect,
     require_tolerance,
+    trial_rng,
 )
 from .matrixio import (
     FileFormatError,
@@ -161,6 +161,8 @@ def _parse_csv(text: str, convert, what: str):
 
 
 def _cmd_harness(args) -> int:
+    from .harness import SUITE_NAMES, HarnessConfig, run_all
+
     try:
         cfg = HarnessConfig(
             dims=_parse_csv(args.dims, int, "--dims"),
@@ -181,7 +183,7 @@ def _cmd_harness(args) -> int:
     print(f"totals: {totals['passed']} passed, {totals['failed']} failed,"
           f" {totals['indeterminate']} indeterminate")
     if args.out:
-        write_report(report, args.out)
+        write_document(args.out, report)
         print(f"report written to {args.out}")
     return 0 if totals["failed"] == 0 else 1
 
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dimensions (subset of 2..8)")
     p.add_argument("--trials", type=int, default=200, help="trials per suite")
     p.add_argument("--suites", default=None,
-                   help=f"comma-separated subset of: {', '.join(SUITE_NAMES)}")
+                   help="comma-separated subset of the suites (default: all)")
     p.add_argument("--out", metavar="PATH", help="write the report document here")
     p.set_defaults(handler=_cmd_harness)
 

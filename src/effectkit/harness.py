@@ -10,7 +10,6 @@ and the solver is cross-checked against both.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -39,8 +38,9 @@ from .hermitian import (
     random_effect,
     random_projection,
     random_unitary,
+    trial_rng,
 )
-from .matrixio import dumps_document, matrix_document, write_document
+from .matrixio import dumps_document, matrix_document
 from .preservers import (
     TraceThresholdSpec,
     apply_standard,
@@ -53,49 +53,10 @@ from .preservers import (
 )
 from .reconstruction import phase_aligned_distance, reconstruct, verify_reconstruction
 
-SUITE_NAMES = (
-    "lemma_properties",
-    "lem3_roundtrip",
-    "convexity",
-    "dirsum",
-    "theorem_converse",
-    "prop1_ccc",
-    "prop2_oneway",
-    "lem4_witness",
-    "oracle_crosscheck",
-    "reconstruction",
-)
-
 # Margins used when generating rule instances, so that generated ground truth
 # is never within numerical noise of the rule's own decision boundary.
 NONCOMMUTING_MARGIN = 1e-2
 RANK_ONE_MARGIN = 1e-3
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    dims: tuple[int, ...] = (2, 3, 4, 5)
-    trials_per_suite: int = 200
-    seed: int = 0
-    suites: tuple[str, ...] = SUITE_NAMES
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 or d > 8 for d in dims):
-            raise ValueError("dims must be a nonempty subset of [2, 8]")
-        object.__setattr__(self, "dims", dims)
-        if self.trials_per_suite < 1:
-            raise ValueError("need at least one trial per suite")
-        suites = tuple(self.suites)
-        unknown = [s for s in suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown suites: {unknown}")
-        object.__setattr__(self, "suites", suites)
-
-
-def trial_rng(master_seed: int, suite: str, index: int) -> np.random.Generator:
-    digest = hashlib.sha256(f"{master_seed}:{suite}:{index}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 @dataclass(frozen=True)
@@ -496,6 +457,29 @@ _SUITES = {
     "oracle_crosscheck": _suite_oracle_crosscheck,
     "reconstruction": _suite_reconstruction,
 }
+SUITE_NAMES = tuple(_SUITES)
+
+
+@dataclass(frozen=True)
+class HarnessConfig:
+    dims: tuple[int, ...] = (2, 3, 4, 5)
+    trials_per_suite: int = 200
+    seed: int = 0
+    suites: tuple[str, ...] = SUITE_NAMES
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        if not dims or any(d < 2 or d > 8 for d in dims):
+            raise ValueError("dims must be a nonempty subset of [2, 8]")
+        object.__setattr__(self, "dims", dims)
+        if self.trials_per_suite < 1:
+            raise ValueError("need at least one trial per suite")
+        suites = tuple(self.suites)
+        unknown = [s for s in suites if s not in SUITE_NAMES]
+        if unknown:
+            raise ValueError(f"unknown suites: {unknown}; "
+                             f"valid suites: {', '.join(SUITE_NAMES)}")
+        object.__setattr__(self, "suites", suites)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +552,6 @@ def run_all(cfg: HarnessConfig | None = None) -> dict:
         "totals": totals,
         "total_wall_time_s": time.perf_counter() - started,
     }
-
-
-def write_report(report: dict, path):
-    write_document(path, report)
 
 
 _TIMING_FIELDS = ("wall_time_s", "total_wall_time_s")

@@ -10,6 +10,7 @@ values can be shared freely.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from typing import NamedTuple, Sequence
 
@@ -31,7 +32,6 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 # detection threshold in the package.  Only classify, is_scalar and
 # is_projection let their caller override a rung (CLASSIFY_TOL).
 HERMITICITY_TOL = 1e-12     # require_hermitian, so every validated input
-RECONSTRUCTION_TOL = 1e-10  # an eigendecomposition reconstructs its input
 EFFECT_SPECTRUM_TOL = 1e-9  # Effect: spectrum snapped onto [0, 1] within it
 ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak test
 DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
@@ -120,11 +120,6 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     m = (v * w.clip(0.0, 1.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def eig(matrix) -> EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    return EigenDecomposition(*np.linalg.eigh(require_hermitian(matrix)))
 
 
 class Effect:
@@ -248,14 +243,6 @@ def clamped_effect(matrix) -> Effect:
     return Effect.trusted(_clipped(*np.linalg.eigh(require_hermitian(matrix))))
 
 
-def identity_effect(dim: int) -> Effect:
-    return Effect.trusted(np.eye(dim, dtype=complex))
-
-
-def zero_effect(dim: int) -> Effect:
-    return Effect.trusted(np.zeros((dim, dim), dtype=complex))
-
-
 @functools.lru_cache(maxsize=8)
 def _identity(n: int) -> np.ndarray:
     """np.eye(n), read-only, shared by every call at dimension n."""
@@ -274,34 +261,20 @@ def trace(matrix) -> float:
     return float(np.trace(as_matrix(matrix)).real)
 
 
-def spectrum(matrix) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(require_hermitian(matrix))
-
-
 def operator_norm(matrix) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
     m = _as_square_array(matrix)
     return float(np.linalg.norm(m, 2))
 
 
-def _order_gap(a, b) -> float:
-    """Smallest eigenvalue of B - A, symmetrised: a difference of Hermitians."""
-    d = _as_square_array(as_matrix(b) - as_matrix(a))
-    return np.linalg.eigvalsh(_hermitian_part(d))[0]
-
-
 def loewner_leq(a, b) -> bool:
     """Whether A <= B in the positive semidefinite order, up to ORDER_TOL.
 
-    True iff the smallest eigenvalue of B - A is at least -ORDER_TOL.
+    True iff the smallest eigenvalue of B - A, symmetrised (a difference of
+    Hermitians), is at least -ORDER_TOL.
     """
-    return bool(_order_gap(a, b) >= -ORDER_TOL)
-
-
-def strictly_less(a, b) -> bool:
-    """Whether B - A is positive definite with margin strictly above ORDER_TOL."""
-    return bool(_order_gap(a, b) > ORDER_TOL)
+    d = _as_square_array(as_matrix(b) - as_matrix(a))
+    return bool(np.linalg.eigvalsh(_hermitian_part(d))[0] >= -ORDER_TOL)
 
 
 def _psd_kernel(m: np.ndarray) -> np.ndarray:
@@ -408,6 +381,12 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def trial_rng(master_seed: int, suite: str, index: int) -> np.random.Generator:
+    """Generator seeded by sha256(master seed, suite name, trial index)."""
+    digest = hashlib.sha256(f"{master_seed}:{suite}:{index}".encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def _raise_qr_error(err, flag):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .hermitian import (
     Effect,
-    as_effect,
     require_tolerance,
+    _effect_of_dim,
     _identity,
     _random_effects,
     _rng,
@@ -72,7 +72,8 @@ def detect_perp(handle: MapHandle, dim: int) -> bool:
     eye = _identity(dim)
     scale = 0.1 * np.sqrt(dim)
 
-    def classify(image: np.ndarray, label: str) -> bool:
+    def classify(probe: Effect, label: str) -> bool:
+        image = _effect_of_dim(handle(probe), dim).matrix
         to_zero = float(np.linalg.norm(image))
         to_eye = float(np.linalg.norm(image - eye))
         if min(to_zero, to_eye) > scale:
@@ -80,8 +81,8 @@ def detect_perp(handle: MapHandle, dim: int) -> bool:
                 f"map({label}) is {to_zero:.3g} from 0 and {to_eye:.3g} from I")
         return to_eye < to_zero
 
-    at_zero = classify(as_effect(handle(Effect.trusted(np.zeros((dim, dim))))).matrix, "0")
-    at_eye = classify(as_effect(handle(Effect.trusted(eye))).matrix, "I")
+    at_zero = classify(Effect.trusted(np.zeros((dim, dim))), "0")
+    at_eye = classify(Effect.trusted(eye), "I")
     if at_zero == at_eye:
         raise InconsistentMap("images of 0 and I land on the same candidate")
     return at_zero
@@ -111,7 +112,7 @@ def reconstruct(handle: MapHandle, dim: int, tol: float = FIT_TOL) -> Reconstruc
                            [(eye[0] + 1j * eye[1]) / np.sqrt(2.0)]])
     probes = vecs[:, :, None] * vecs.conj()[:, None, :]
     probes.flags.writeable = False
-    raw = np.stack([as_effect(handle(Effect._owned(p))).matrix for p in probes])
+    raw = np.stack([_effect_of_dim(handle(Effect._owned(p)), dim).matrix for p in probes])
     images = eye - raw if perp else raw
     w, v = np.linalg.eigh(images)
     devs = np.maximum(np.abs(w[:, :-1]).max(axis=1), np.abs(w[:, -1] - 1.0))
@@ -199,6 +200,6 @@ def verify_reconstruction(handle: MapHandle, result: ReconstructionResult,
     trial.flags.writeable = False
     worst = 0.0
     for m, fitted in zip(trial, _standard_images(spec, trial)):
-        dev = np.linalg.norm(as_effect(handle(Effect._owned(m))).matrix - fitted)
+        dev = np.linalg.norm(_effect_of_dim(handle(Effect._owned(m)), dim).matrix - fitted)
         worst = max(worst, float(dev))
     return worst

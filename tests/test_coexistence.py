@@ -27,21 +27,25 @@ from effectkit.coexistence import (
 )
 from effectkit.harness import RULE_FAMILIES, rule_instance, trial_rng
 from effectkit.hermitian import (
+    ORDER_TOL,
     Effect,
     NotHermitian,
     as_matrix,
     conjugate,
     direct_sum,
-    identity_effect,
     operator_norm,
     orthocomplement,
     random_effect,
     random_projection,
     random_unitary,
     sqrt_psd,
-    strictly_less,
-    zero_effect,
 )
+
+
+def strictly_below(a, b):
+    """Whether B - A, symmetrised, is positive definite with margin above ORDER_TOL."""
+    d = as_matrix(b) - as_matrix(a)
+    return np.linalg.eigvalsh((d + d.conj().T) / 2.0)[0] > ORDER_TOL
 
 
 def rank_one_pair(alpha, beta, overlap):
@@ -471,7 +475,7 @@ def test_verify_dual_rejects_coexistent_pairs():
     # (A, B) so, and fails against pairs that do coexist.
     a, b, dual = _not_coexistent_dual()
     dim = a.dim
-    for pair in ((a, a), (a, orthocomplement(a)), (b, zero_effect(dim)),
+    for pair in ((a, a), (a, orthocomplement(a)), (b, Effect(np.zeros((dim, dim)))),
                  (0.5 * np.eye(dim), b), (a, sample_coexistent(a, 1, seed=3)[0])):
         assert not verify_dual(*pair, *dual)
     # Nor does the dual survive being shifted onto a coexistent pair.
@@ -791,10 +795,11 @@ def test_decide_blockwise_mismatch():
 
 
 def test_sample_coexistent_endpoint_cases():
-    for b in sample_coexistent(zero_effect(3), 5, seed=19):
-        assert decide(zero_effect(3), b).verdict == Verdict.COEXISTENT
-    for b in sample_coexistent(identity_effect(3), 5, seed=20):
-        assert decide(identity_effect(3), b).verdict == Verdict.COEXISTENT
+    zero, eye = Effect(np.zeros((3, 3))), Effect(np.eye(3))
+    for b in sample_coexistent(zero, 5, seed=19):
+        assert decide(zero, b).verdict == Verdict.COEXISTENT
+    for b in sample_coexistent(eye, 5, seed=20):
+        assert decide(eye, b).verdict == Verdict.COEXISTENT
 
 
 def test_sample_coexistent_witnesses_verify():
@@ -829,7 +834,7 @@ def test_interior_perturbation_upper_clamp():
     ratio = c[0, 0].real / 0.8
     assert 0.0 < ratio < 1.0
     assert np.allclose(c, ratio * a, atol=1e-13)
-    assert strictly_less(c, a)
+    assert strictly_below(c, a)
 
 
 def test_interior_perturbation_posts_on_random_pairs():
@@ -840,8 +845,8 @@ def test_interior_perturbation_posts_on_random_pairs():
         b = root @ as_matrix(random_effect(4, seed=rng)) @ root
         eps = 0.05
         c = interior_perturbation(a, b, eps)
-        assert strictly_less(np.zeros((4, 4)), c)
-        assert strictly_less(c, a)
+        assert strictly_below(np.zeros((4, 4)), c)
+        assert strictly_below(c, a)
         assert operator_norm(b - c) < eps
 
 

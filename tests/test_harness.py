@@ -14,10 +14,9 @@ from effectkit.harness import (
     run_all,
     run_suite,
     trial_rng,
-    write_report,
 )
 from effectkit.hermitian import as_matrix
-from effectkit.matrixio import loads_document
+from effectkit.matrixio import loads_document, write_document
 
 
 def test_trial_rng_is_deterministic_and_mixed():
@@ -103,7 +102,7 @@ def test_write_report_round_trips(tmp_path):
                         suites=("lemma_properties",))
     report = run_all(cfg)
     path = tmp_path / "report.json"
-    write_report(report, path)
+    write_document(path, report)
     back = loads_document(path.read_text())
     assert back["totals"] == report["totals"]
     assert back["suites"][0]["name"] == "lemma_properties"
@@ -116,8 +115,10 @@ def test_config_validation():
         HarnessConfig(dims=(2, 9))
     with pytest.raises(ValueError):
         HarnessConfig(trials_per_suite=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         HarnessConfig(suites=("convexity", "nonsense"))
+    assert "'nonsense'" in str(err.value)
+    assert f"valid suites: {', '.join(SUITE_NAMES)}" in str(err.value)
 
 
 def test_suite_names_cover_contract():

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from effectkit import hermitian
 from effectkit.hermitian import (
     EFFECT_SPECTRUM_TOL,
-    RECONSTRUCTION_TOL,
     Effect,
     NotHermitian,
     SpectrumOutOfRange,
@@ -15,8 +14,6 @@ from effectkit.hermitian import (
     clamped_effect,
     conjugate,
     direct_sum,
-    eig,
-    identity_effect,
     loewner_leq,
     operator_norm,
     orthocomplement,
@@ -26,12 +23,12 @@ from effectkit.hermitian import (
     random_unitary,
     require_hermitian,
     require_unitary,
-    spectrum,
     sqrt_psd,
-    strictly_less,
     trace,
-    zero_effect,
 )
+
+# An eigendecomposition reconstructs its input to this Frobenius distance.
+RECONSTRUCTION_BOUND = 1e-10
 
 # A fixed 4x4 Hermitian probe.  Its eigenvalues were computed with the
 # bisection oracle below (200 halvings on Gershgorin bounds) and frozen.
@@ -71,6 +68,18 @@ def _count_eigenvalues_below(matrix, shift):
     return negatives
 
 
+def _eigenvalues(matrix):
+    """Ascending eigenvalues of an effect or an exactly Hermitian matrix."""
+    return np.linalg.eigvalsh(as_matrix(matrix))
+
+
+def _as_unit_interval(h):
+    """I/2 + H/(2||H||_F), a Hermitian H moved affinely into an effect, and
+    2||H||_F, the factor that takes its distances back to H's scale."""
+    s = np.linalg.norm(h)
+    return (h + s * np.eye(h.shape[0])) / (2.0 * s), 2.0 * s
+
+
 def eigenvalues_by_bisection(matrix, halvings=200):
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
@@ -91,26 +100,28 @@ def eigenvalues_by_bisection(matrix, halvings=200):
 
 
 def test_eig_identity():
-    w = eig(np.eye(3, dtype=complex)).eigenvalues
+    w = Effect(np.eye(3, dtype=complex)).eig.eigenvalues
     assert np.allclose(w, 1.0, atol=1e-14)
 
 
 def test_eig_diagonal_sorted_ascending():
-    w = eig(np.diag([1 / 3, 1 / 4, 1 / 5]).astype(complex)).eigenvalues
+    w = Effect(np.diag([1 / 3, 1 / 4, 1 / 5]).astype(complex)).eig.eigenvalues
     assert np.allclose(w, [1 / 5, 1 / 4, 1 / 3], atol=1e-14)
 
 
 def test_eig_matches_frozen_bisection_values():
-    w = spectrum(PROBE_4X4)
-    assert np.allclose(w, PROBE_4X4_EIGENVALUES, atol=1e-12)
+    # Halving is exact, so PROBE_4X4 / 2 is an effect with half the values.
+    w = Effect(PROBE_4X4 / 2.0).eigenvalues
+    assert np.allclose(2.0 * w, PROBE_4X4_EIGENVALUES, atol=1e-12)
 
 
 def test_eig_matches_bisection_oracle_live():
     rng = np.random.default_rng(42)
     for dim in (2, 3, 4, 5):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2.0
-        assert np.allclose(spectrum(h), eigenvalues_by_bisection(h), atol=1e-10)
+        h, scale = _as_unit_interval((g + g.conj().T) / 2.0)
+        assert np.allclose(scale * Effect(h).eigenvalues,
+                           scale * eigenvalues_by_bisection(h), atol=1e-10)
 
 
 def test_eig_reconstruction_residual():
@@ -119,10 +130,10 @@ def test_eig_reconstruction_residual():
     for _ in range(1000):
         dim = int(rng.integers(2, 9))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2.0
-        w, v = eig(h)
-        worst = max(worst, np.linalg.norm((v * w) @ v.conj().T - h))
-    assert worst <= RECONSTRUCTION_TOL
+        h, scale = _as_unit_interval((g + g.conj().T) / 2.0)
+        w, v = Effect(h).eig
+        worst = max(worst, scale * np.linalg.norm((v * w) @ v.conj().T - h))
+    assert worst <= RECONSTRUCTION_BOUND
 
 
 def test_require_hermitian_rejects_asymmetric():
@@ -134,7 +145,7 @@ def test_require_hermitian_rejects_asymmetric():
 def test_non_finite_entries_are_rejected():
     for value in (np.nan, np.inf, -np.inf):
         m = np.diag([value, 0.5])
-        for entry in (Effect, eig, spectrum, psd_part, clamped_effect):
+        for entry in (Effect, psd_part, clamped_effect):
             with pytest.raises(NotHermitian):
                 entry(m)
 
@@ -147,8 +158,7 @@ def test_order_and_unitary_checks_reject_non_finite_input():
     for bad in (nan_matrix, inf_entry):
         for check in (operator_norm, require_unitary,
                       lambda m: conjugate(random_effect(3, seed=1), m),
-                      lambda m: loewner_leq(zero, m),
-                      lambda m: strictly_less(zero, m)):
+                      lambda m: loewner_leq(zero, m)):
             with pytest.raises(NotHermitian):
                 check(bad)
 
@@ -173,12 +183,12 @@ def test_effect_rejects_eigenvalue_above_one():
 def test_effect_rank_one_shift_spectrum():
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     h = 0.5 * (np.eye(3) + np.outer(v, v)).astype(complex)
-    assert np.allclose(spectrum(Effect(h)), [0.5, 0.5, 1.0], atol=1e-12)
+    assert np.allclose(_eigenvalues(Effect(h)), [0.5, 0.5, 1.0], atol=1e-12)
 
 
 def test_effect_clamps_tolerated_excursions():
     e = Effect(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
-    w = spectrum(e)
+    w = _eigenvalues(e)
     assert w[0] >= 0.0 and w[-1] <= 1.0
 
 
@@ -266,11 +276,11 @@ def test_trusted_effect_decomposes_once_on_first_use(monkeypatch):
 
 def test_clamped_effect_never_raises():
     e = clamped_effect(np.diag([1.7, -0.4]).astype(complex))
-    assert np.allclose(spectrum(e), [0.0, 1.0], atol=1e-14)
+    assert np.allclose(_eigenvalues(e), [0.0, 1.0], atol=1e-14)
 
 
 def test_orthocomplement_endpoints_and_fixed_point():
-    assert np.allclose(as_matrix(orthocomplement(zero_effect(2))), np.eye(2))
+    assert np.allclose(as_matrix(orthocomplement(Effect(np.zeros((2, 2))))), np.eye(2))
     half = Effect(0.5 * np.eye(2, dtype=complex))
     assert np.allclose(as_matrix(orthocomplement(half)), 0.5 * np.eye(2))
     d = Effect(np.diag([0.3, 0.9]).astype(complex))
@@ -301,13 +311,6 @@ def test_loewner_psd_gap():
 def test_loewner_dimension_mismatch():
     with pytest.raises(ValueError):
         loewner_leq(np.eye(2), np.eye(3))
-
-
-def test_strictly_less():
-    assert strictly_less(np.zeros((2, 2)), np.eye(2))
-    a = as_matrix(random_effect(3, seed=5))
-    assert not strictly_less(a, a)
-    assert strictly_less(np.diag([0.2, 0.3]), np.diag([0.4, 0.5]))
 
 
 def test_psd_part_fixes_psd_input():
@@ -389,8 +392,8 @@ def test_direct_sum_assembly():
     assert np.allclose(out, np.diag([1.0, 0.0]))
     a = random_effect(2, seed=1)
     b = random_effect(2, seed=2)
-    w = spectrum(direct_sum([as_matrix(a), as_matrix(b)]))
-    expected = np.sort(np.concatenate([spectrum(a), spectrum(b)]))
+    w = _eigenvalues(direct_sum([as_matrix(a), as_matrix(b)]))
+    expected = np.sort(np.concatenate([_eigenvalues(a), _eigenvalues(b)]))
     assert np.allclose(w, expected, atol=1e-12)
 
 
@@ -406,7 +409,7 @@ def test_conjugate_identity_and_spectrum():
     same = conjugate(a, np.eye(3, dtype=complex))
     assert np.allclose(as_matrix(same), as_matrix(a), atol=1e-15)
     u = random_unitary(3, np.random.default_rng(22))
-    assert np.allclose(spectrum(conjugate(a, u)), spectrum(a), atol=1e-10)
+    assert np.allclose(_eigenvalues(conjugate(a, u)), _eigenvalues(a), atol=1e-10)
 
 
 def test_conjugate_transpose_is_entrywise_conjugate():
@@ -507,13 +510,13 @@ def test_random_effect_strata_pinning():
     full = random_effect(3, stratum=(3, 0), seed=1)
     assert np.allclose(as_matrix(full), np.eye(3), atol=1e-12)
     proj = random_effect(2, stratum=(1, 1), seed=2)
-    w = spectrum(proj)
+    w = _eigenvalues(proj)
     assert np.allclose(w, [0.0, 1.0], atol=1e-12)
 
 
 def test_random_effect_interior_margin():
     e = random_effect(5, stratum=(1, 1), seed=3)
-    w = spectrum(e)
+    w = _eigenvalues(e)
     interior = w[(w > 1e-9) & (w < 1.0 - 1e-9)]
     assert np.all(interior >= 1e-3 - 1e-12)
     assert np.all(interior <= 1.0 - 1e-3 + 1e-12)
@@ -528,12 +531,7 @@ def test_random_effect_determinism_and_bounds():
 
 def test_random_projection_rank():
     p = random_projection(4, 2, seed=6)
-    assert np.allclose(spectrum(p), [0.0, 0.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_identity_and_zero_effects():
-    assert np.array_equal(as_matrix(identity_effect(3)), np.eye(3))
-    assert np.array_equal(as_matrix(zero_effect(3)), np.zeros((3, 3)))
+    assert np.allclose(_eigenvalues(p), [0.0, 0.0, 1.0, 1.0], atol=1e-12)
 
 
 @seed(101)

@@ -7,11 +7,9 @@ from effectkit.hermitian import (
     Effect,
     as_matrix,
     conjugate,
-    identity_effect,
     orthocomplement,
     random_effect,
     random_unitary,
-    zero_effect,
 )
 from effectkit.matrixio import FileFormatError
 from effectkit.preservers import (
@@ -87,8 +85,8 @@ def test_trace_threshold_branch_agreement_at_n_minus_one():
 
 def test_trace_threshold_endpoints():
     spec = TraceThresholdSpec(dim=3, alpha=1.0)
-    assert np.allclose(as_matrix(apply_trace_threshold(spec, zero_effect(3))), 0.0)
-    assert np.allclose(as_matrix(apply_trace_threshold(spec, identity_effect(3))),
+    assert np.allclose(as_matrix(apply_trace_threshold(spec, Effect(np.zeros((3, 3))))), 0.0)
+    assert np.allclose(as_matrix(apply_trace_threshold(spec, Effect(np.eye(3)))),
                        np.eye(3), atol=1e-15)
 
 
@@ -144,7 +142,7 @@ def test_trace_threshold_inverse_frozen():
 
 def test_trace_threshold_inverse_endpoint_and_middle():
     spec = TraceThresholdSpec(dim=3, alpha=2.0)
-    assert np.allclose(as_matrix(trace_threshold_inverse(spec, zero_effect(3))), 0.0)
+    assert np.allclose(as_matrix(trace_threshold_inverse(spec, Effect(np.zeros((3, 3))))), 0.0)
     mid = Effect(np.diag([0.9, 0.6, 0.5]).astype(complex))
     assert np.allclose(as_matrix(trace_threshold_inverse(spec, mid)),
                        as_matrix(mid), atol=1e-15)
@@ -173,7 +171,7 @@ def test_trace_threshold_spec_validation():
 
 def test_block_counterexample_zero_maps_to_zero():
     spec = random_block_spec(2, seed=7)
-    out = apply_block_counterexample(spec, zero_effect(2))
+    out = apply_block_counterexample(spec, Effect(np.zeros((2, 2))))
     assert out.dim == 8
     assert np.allclose(as_matrix(out), 0.0)
 
@@ -185,7 +183,7 @@ def test_block_counterexample_identity_frozen():
         vectors=(x, x, x, x),
         diagonals=(np.ones(2),) * 4,
     )
-    out = apply_block_counterexample(spec, identity_effect(2))
+    out = apply_block_counterexample(spec, Effect(np.eye(2)))
     expected = np.diag([1, 1, 1, 1, 0.5, 0.5, 0.9375, 0.9375])
     assert np.allclose(as_matrix(out), expected, atol=1e-14)
 

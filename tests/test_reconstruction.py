@@ -5,9 +5,11 @@ import pytest
 
 from effectkit import hermitian, preservers
 from effectkit.hermitian import (
+    DimensionMismatch,
     Effect,
     as_matrix,
     clamped_effect,
+    direct_sum,
     random_effect,
     random_unitary,
 )
@@ -220,6 +222,25 @@ def test_failing_maps_raise_as_before(make, dim, error, message, queries):
         reconstruct(counted, dim)
     assert type(info.value) is error and str(info.value) == message
     assert len(calls) == queries
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_images_of_another_dimension_raise_at_the_first_query(dim):
+    # A map that embeds each dim x dim effect in a (dim + 1) x (dim + 1) one.
+    calls = []
+
+    def grow(e):
+        calls.append(1)
+        return Effect(direct_sum([e.matrix, np.zeros((1, 1))]))
+
+    message = f"dimension mismatch: {dim} vs {dim + 1}"
+    with pytest.raises(DimensionMismatch, match=message):
+        reconstruct(grow, dim)
+    assert len(calls) == 1
+    fit = reconstruct(identity_map, dim)
+    with pytest.raises(DimensionMismatch, match=message):
+        verify_reconstruction(grow, fit, trials=20, seed=dim)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 7, 20])

@@ -44,15 +44,12 @@ from effectkit.hermitian import (
     ORDER_TOL,
     Effect,
     as_effect,
-    eig,
     loewner_leq,
     random_effect,
     random_unitary,
     require_hermitian,
     require_tolerance,
     require_unitary,
-    spectrum,
-    strictly_less,
 )
 from effectkit.preservers import preserver_handle, random_standard_spec
 from effectkit.reconstruction import reconstruct
@@ -314,7 +311,6 @@ _FIXED_RUNG = {
     "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol=tol),
     "canonical_form": lambda a, b, tol: canonical_form(a, tol=tol),
     "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol=tol),
-    "strictly_less": lambda a, b, tol: strictly_less(a, b, tol=tol),
 }
 _TOL_TAKERS = {
     "classify": lambda a, b, tol: classify(a, tol),
@@ -368,7 +364,7 @@ def test_good_tolerances_pass_and_inf_stays_internal():
     # and the order predicates symmetrise B - A without it.
     with pytest.raises(TypeError):
         require_hermitian(b.matrix - a.matrix, tol=math.inf)
-    assert loewner_leq(a, a) and not strictly_less(a, a)
+    assert loewner_leq(a, a)
     with pytest.raises(ValueError, match="eps must be finite and > 0"):
         require_tolerance(0.0, "eps", positive=True)
 
@@ -376,8 +372,8 @@ def test_good_tolerances_pass_and_inf_stays_internal():
 def test_fixed_settings_have_no_parameter_or_flag():
     # The Newton-step budget and these functions' tolerances have one value
     # in use each, so they are module constants, not arguments or options.
-    fixed = (Effect, as_effect, require_hermitian, eig, spectrum, require_unitary,
-             loewner_leq, strictly_less, canonical_form, decide, decide_blockwise)
+    fixed = (Effect, as_effect, require_hermitian, require_unitary,
+             loewner_leq, canonical_form, decide, decide_blockwise)
     for fn in fixed:
         params = inspect.signature(fn).parameters
         assert not {"tol", "cfg"} & set(params), fn.__name__

@@ -62,8 +62,9 @@ def _inputs(pkg, workload: str, seed: int):
     """verdicts.bench_round(workload, seed) and the bench's workloads module,
     both imported with pkg as ``effectkit``."""
     aliases = {"effectkit": pkg}
-    aliases.update({f"effectkit.{sub}": mod for sub, mod in vars(pkg).items()
-                    if getattr(mod, "__name__", "").startswith(pkg.__name__ + ".")})
+    for sub in (path.stem for path in Path(pkg.__file__).parent.glob("*.py")):
+        if sub != "__init__":
+            aliases[f"effectkit.{sub}"] = importlib.import_module(f"{pkg.__name__}.{sub}")
     saved = {k: sys.modules.pop(k) for k in list(sys.modules)
              if k == "workloads" or k == "effectkit" or k.startswith("effectkit.")}
     sys.modules.update(aliases)
