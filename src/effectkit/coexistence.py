@@ -42,6 +42,7 @@ from .hermitian import (
     require_tolerance,
     sqrt_psd,
     _clipped,
+    _converged,
     _effect_of_dim,
     _eigh_lo,
     _eigvalsh_lo,
@@ -200,7 +201,7 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
         t = float(wb.sum() / wb.size)
         return _coexistent(Reason.SCALAR_RULE, t * am, t * (_identity(ea.dim) - am))
 
-    comm = np.linalg.norm(am @ bm - bm @ am)
+    comm = _frobenius(am @ bm - bm @ am)
     commute = comm <= DETECTION_TOL
 
     # Rule 2: projections (every eigenvalue within DETECTION_TOL of 0 or 1)
@@ -222,7 +223,7 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
         pa, pb = ea.eig.eigenvectors[:, -1], eb.eig.eigenvectors[:, -1]
         overlap = abs(np.vdot(pa, pb)) ** 2
         if 1.0 - overlap >= DETECTION_TOL:
-            peak = float(np.linalg.eigvalsh(am + bm)[-1])
+            peak = float(_converged(_eigvalsh_lo(am + bm))[-1])
             if peak <= 1.0 + ORDER_TOL:
                 # A + B <= I makes M = 0, N = B a valid split.
                 return _coexistent(Reason.RANK_ONE_RULE,
@@ -230,6 +231,13 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
             return _not_coexistent(Reason.RANK_ONE_RULE, peak - 1.0)
 
     return None
+
+
+def _frobenius(d: np.ndarray) -> float:
+    """np.linalg.norm(d) of a complex array, by its own formula: the same bytes."""
+    d = d.ravel()
+    re, im = d.real, d.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 @_lapack_checked()
@@ -253,9 +261,13 @@ def _meet(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(4, 1, 1)
 
 
-def _residual(x, base) -> float:
-    """Largest violation of the four constraints at x, or 0 if none."""
-    lo = _eigvalsh_lo(base + _SIGNS * x).min()
+def _residual(x, base, rows=slice(None), known=math.inf) -> float:
+    """Largest violation of the four constraints at x, or 0 if none.
+
+    Solves the slacks base[rows] + _SIGNS[rows] * x; known is the smallest
+    eigenvalue of the others, where the caller has solved them already.
+    """
+    lo = min(_eigvalsh_lo(base[rows] + _SIGNS[rows] * x).min(), known)
     return max(0.0, float(-lo))
 
 
@@ -273,11 +285,13 @@ def _corner_witness(am, bm, k, base):
     stacked eigvalsh of M and M - K screens it.  The first candidate that
     passes its screen is confirmed against the full residual, so a hit is
     an exact certificate, not a heuristic, and the first candidate whose
-    residual is below FEAS_TOL is the one returned.  It also settles pairs
-    whose margin t* is 0, which the barrier's strictly feasible iterates
-    only approach from below.  Returns (M, residual) on a hit and (meet,
-    None) on a miss, the meet being the barrier's starting point.  Both
-    screens fill one buffer in place, and M = 0 is base[0].
+    residual is below FEAS_TOL is the one returned.  The confirmation
+    solves only the slacks the screen has not: two on a K+ hit, K+ and
+    K+ - K.  It also settles pairs whose margin t* is 0, which the
+    barrier's strictly feasible iterates only approach from below.  Returns
+    (M, residual) on a hit and (meet, None) on a miss, the meet being the
+    barrier's starting point.  Both screens fill one buffer in place, and
+    M = 0 is base[0].
     """
     kp = _psd_kernel(k)
     screen = np.empty_like(base)
@@ -285,18 +299,27 @@ def _corner_witness(am, bm, k, base):
     np.subtract(bm, am, out=screen[1])
     np.subtract(base[1:3], kp, out=screen[2:])  # A - K+, B - K+
     lo = _eigvalsh_lo(screen)
-    screens = (lo[0, -1] <= FEAS_TOL, lo[1, 0] >= -FEAS_TOL,
-               lo[1, -1] <= FEAS_TOL, min(lo[2, 0], lo[3, 0]) >= -FEAS_TOL)
-    for cand, passes in zip((base[0], am, bm, kp), screens):
+    # Each candidate, whether it passes its screen, the smallest eigenvalue
+    # the screen solved of its slacks (B - A for M = A, A - K+ and B - K+
+    # for K+, with the bytes of those slack rows) and the slack rows left to
+    # solve.  A candidate's own slack of zeros (M, A - M or B - M) is left
+    # out: its eigenvalues are 0, and the residual is clamped at 0.
+    b_a, kp_low = lo[1, 0], min(lo[2, 0], lo[3, 0])
+    screens = ((base[0], lo[0, -1] <= FEAS_TOL, math.inf, slice(1, 4)),
+               (am, b_a >= -FEAS_TOL, b_a, slice(0, 4, 3)),
+               (bm, lo[1, -1] <= FEAS_TOL, math.inf, [0, 1, 3]),
+               (kp, kp_low >= -FEAS_TOL, kp_low, slice(0, 4, 3)))
+    for cand, passes, known, rows in screens:
         if passes:
-            r = _residual(cand, base)
+            r = _residual(cand, base, rows, known)
             if r < FEAS_TOL:
                 return cand, r
     meet = _meet(am, bm)
     screen[0] = meet
     np.subtract(meet, k, out=screen[1])
-    if _eigvalsh_lo(screen[:2])[:, 0].min() >= -FEAS_TOL:
-        r = _residual(meet, base)
+    meet_low = _eigvalsh_lo(screen[:2])[:, 0].min()  # M and M - K
+    if meet_low >= -FEAS_TOL:
+        r = _residual(meet, base, slice(1, 3), meet_low)
         if r < FEAS_TOL:
             return meet, r
     return meet, None
@@ -588,27 +611,33 @@ def _padded(z: np.ndarray, index: int, blocks) -> np.ndarray:
 # Certificates
 
 
-def _check_psd(names, mats, tol: float):
-    """Check each matrix is PSD at tol; the first that fails, in order, raises.
+def _check_psd(names, stack: np.ndarray, tol: float):
+    """Check each matrix of the stack is PSD at tol; the first that fails, in
+    order, raises.
 
     A non-finite matrix fails with margin NaN.  The finite ones before it go
-    through one stacked eigvalsh of their Hermitian parts, formed as
-    X/2 + X*/2 so that finite entries near the float limit cannot overflow.
+    through one stacked _eigvalsh_lo of their Hermitian parts, which
+    overwrite them, formed as X/2 + X*/2 so that finite entries near the
+    float limit cannot overflow.  If LAPACK fails, its NaN eigenvalues fail
+    the check with margin NaN.
     """
-    stack = np.stack(mats)
     finite = np.isfinite(stack).all(axis=(1, 2))
-    checked = len(mats) if finite.all() else int(finite.argmin())
+    checked = len(stack) if finite.all() else int(finite.argmin())
     herm = stack[:checked]
-    lows = np.linalg.eigvalsh(herm / 2.0 + herm.conj().swapaxes(1, 2) / 2.0)[:, 0]
+    half_adjoint = herm.conj()
+    half_adjoint /= 2.0
+    herm /= 2.0
+    herm += half_adjoint.swapaxes(1, 2)
+    lows = _eigvalsh_lo(herm)[:, 0].tolist()
     for name, lo in zip(names, lows):
         if not lo >= -tol:
-            raise InvalidCertificate(f"{name} >= 0", -float(lo))
-    if checked < len(mats):
+            raise InvalidCertificate(f"{name} >= 0", -lo)
+    if checked < len(stack):
         raise InvalidCertificate(f"{names[checked]} >= 0", math.nan)
 
 
 def _check_close(name: str, x: np.ndarray, y: np.ndarray, tol: float):
-    dev = float(np.linalg.norm(x - y))
+    dev = _frobenius(x - y)
     if not dev <= tol:
         raise InvalidCertificate(name, dev)
 
@@ -638,19 +667,27 @@ def _cert_tol(tol: float):
 def _check_mn(a, b, m, n, tol: float):
     _cert_tol(tol)
     am, bm, mm, nm = _check_shapes("ABMN", (a, b, m, n))
-    _check_psd(("M", "N", "A - M", "(I - A) - N"),
-               (mm, nm, am - mm, _identity(am.shape[0]) - am - nm), tol)
-    _check_close("M + N = B", mm + nm, bm, tol)
+    slacks = np.empty((4, *am.shape), dtype=complex)
+    slacks[0], slacks[1] = mm, nm
+    np.subtract(am, mm, out=slacks[2])
+    np.subtract(_identity(am.shape[0]), am, out=slacks[3])
+    slacks[3] -= nm
+    _check_psd(("M", "N", "A - M", "(I - A) - N"), slacks, tol)
+    _check_close("M + N = B", np.add(mm, nm, out=slacks[0]), bm, tol)
     return am, bm, mm, nm
 
 
 def _check_efg(a, b, e, f, g, tol: float):
     _cert_tol(tol)
     am, bm, em, fm, gm = _check_shapes("ABEFG", (a, b, e, f, g))
-    _check_psd(("E", "F", "G", "I - (E + F + G)"),
-               (em, fm, gm, _identity(am.shape[0]) - em - fm - gm), tol)
-    _check_close("E + G = A", em + gm, am, tol)
-    _check_close("F + G = B", fm + gm, bm, tol)
+    slacks = np.empty((4, *am.shape), dtype=complex)
+    slacks[0], slacks[1], slacks[2] = em, fm, gm
+    np.subtract(_identity(am.shape[0]), em, out=slacks[3])
+    slacks[3] -= fm
+    slacks[3] -= gm
+    _check_psd(("E", "F", "G", "I - (E + F + G)"), slacks, tol)
+    _check_close("E + G = A", np.add(em, gm, out=slacks[0]), am, tol)
+    _check_close("F + G = B", np.add(fm, gm, out=slacks[1]), bm, tol)
     return am, bm, em, fm, gm
 
 
@@ -689,25 +726,32 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
     bound t* <= value / sum_i tr Z_i.  The penalty does not grow with n, so
     a dual padded with zero blocks keeps its bound.  A and B must be
     Hermitian to HERMITICITY_TOL; the Z_i are read as their Hermitian
-    parts.  Non-finite or wrongly shaped input fails with margin NaN.
+    parts.  Non-finite or wrongly shaped input fails with margin NaN, and
+    so does a failed LAPACK call.
     """
     require_tolerance(tol)
     am, bm, *zs = _check_shapes(("A", "B", "Z2", "Z3", "Z4"), (a, b, z2, z3, z4))
-    mats = np.stack((am, bm, *zs))
+    mats = np.empty((6, *am.shape), dtype=complex)  # A, B, Z1, Z2, Z3, Z4
+    mats[0], mats[1], mats[2] = am, bm, 0.0
+    mats[3], mats[4], mats[5] = zs
     if not np.isfinite(mats).all():
         raise InvalidCertificate("finite entries", math.nan)
     # The check is invariant under scaling the Z_i; unit scale avoids overflow.
-    scale = float(np.abs(mats[2:]).max())
+    scale = float(np.abs(mats[3:]).max())
     if not scale > 0.0:
         raise InvalidCertificate("Z_i not all zero", 0.0)
-    mats[2:] /= scale
+    mats[3:] /= scale
     herm = mats / 2.0 + mats.conj().swapaxes(1, 2) / 2.0
     for name, x in zip("AB", mats):
         dev = float(np.abs(x - x.conj().T).max())
         if not dev <= HERMITICITY_TOL:
             raise InvalidCertificate(f"{name} Hermitian", dev)
-    am, bm, z2, z3, z4 = herm
-    w = np.linalg.eigvalsh(np.stack((am, bm, z2 + z3 - z4, z2, z3, z4)))
+    am, bm, z1, z2, z3, z4 = herm
+    np.add(z2, z3, out=z1)
+    z1 -= z4
+    w = _eigvalsh_lo(herm)
+    if np.isnan(w).any():
+        raise InvalidCertificate(f"dual bound < -{tol:g}", math.nan)
     spill = max(0.0, -w[:2, 0].min(), w[:2, -1].max() - 1.0)
     penalty = (1.0 + spill) * np.maximum(0.0, -w[2:]).sum()
     norm = 2.0 * float(np.trace(z2 + z3).real)

@@ -19,9 +19,14 @@ import numpy as np
 # The LAPACK gufuncs that np.linalg.eigh, np.linalg.eigvalsh, np.linalg.solve
 # (with a vector right-hand side) and np.linalg.qr dispatch to.  Their
 # wrappers add about 5 us per call, as much as LAPACK's own work at n = 3 to
-# 5, so the solver's hot loop and the Haar draws call the gufuncs directly.
-# This is private numpy API, checked on numpy 2.4.6 only;
-# tests/test_hermitian.py compares each with its wrapper.
+# 5, so these call the gufuncs directly: Effect validation and Effect.eig,
+# psd_part, the Haar draws, and in coexistence the exact rules (the meet,
+# rule 4's peak, the witness clamp), the solver (corner screens, barrier)
+# and the certificate checks.  A failed call fills its output with NaN
+# instead of raising: each call site runs under _lapack_checked, tests for
+# NaN (_converged) or fails its check on NaN.  This is private numpy API,
+# checked on numpy 2.4.6 only; tests/test_hermitian.py compares each with
+# its wrapper.
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
@@ -133,16 +138,18 @@ class Effect:
     read-only.  ``eigenvalues`` are the ascending eigenvalues of the stored
     matrix (read-only): kept from validation when the input is stored as
     given, else computed on first use.  ``eig``, the eigendecomposition
-    (np.linalg.eigh of the stored matrix, read-only), is computed on first
-    use; its eigenvalues have the bytes of ``eigenvalues``.
+    (the bytes of np.linalg.eigh of the stored matrix, read-only), is
+    computed on first use; its eigenvalues have the bytes of
+    ``eigenvalues``.  A failed LAPACK call raises LinAlgError.
     """
 
     __slots__ = ("_matrix", "_eigenvalues", "_eig")
 
     def __init__(self, matrix):
         m = require_hermitian(matrix)
-        w, v = np.linalg.eigh(m)
-        if w[0] < -EFFECT_SPECTRUM_TOL:
+        w, v = _eigh_lo(m)
+        if not w[0] >= -EFFECT_SPECTRUM_TOL:
+            _converged(w)
             raise SpectrumOutOfRange(float(w[0]))
         if w[-1] > 1.0 + EFFECT_SPECTRUM_TOL:
             raise SpectrumOutOfRange(float(w[-1]))
@@ -186,7 +193,8 @@ class Effect:
     def eig(self) -> EigenDecomposition:
         """Eigendecomposition of the stored matrix, computed at most once."""
         if self._eig is None:
-            w, v = np.linalg.eigh(self._matrix)
+            w, v = _eigh_lo(self._matrix)
+            _converged(w)
             w.flags.writeable = v.flags.writeable = False
             self._eig = EigenDecomposition(w, v)
         return self._eig
@@ -288,6 +296,14 @@ def _psd_kernel(m: np.ndarray) -> np.ndarray:
     if w[0] >= 0.0:
         return m
     return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+def _converged(w: np.ndarray) -> np.ndarray:
+    """w, one matrix's eigenvalues from _eigh_lo or _eigvalsh_lo outside
+    _lapack_checked; LinAlgError, as np.linalg raises, if LAPACK failed (NaN)."""
+    if w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def _raise_lapack_failure(err, flag):

@@ -282,33 +282,38 @@ def test_corner_screen_picks_the_full_residual_candidate(monkeypatch, dim):
     # The screens read six slacks; the full residuals read twenty.  On
     # every pair both must pick the same candidate, bytes and residual
     # included, and every candidate must be picked somewhere.  The screens
-    # let through only the candidate they return: one full residual on a
-    # hit, none on a miss, which returns the meet for the barrier's start.
+    # let through only the candidate they return, and its confirmation
+    # solves only the slacks the screens did not: 4 + 3 matrices for M = 0
+    # and M = B, 4 + 2 for M = A and K+, 4 + 2 + 2 for the meet.  A miss,
+    # which returns the meet for the barrier's start, solves the 4 + 2
+    # screened ones only.
     rng = np.random.default_rng(90 + dim)
     picked = set()
-    residual = coexistence._residual
-    confirmed = []
-    monkeypatch.setattr(coexistence, "_residual",
-                        lambda x, base: confirmed.append(1) or residual(x, base))
+    eigvalsh_lo = coexistence._eigvalsh_lo
+    solved = []
+    monkeypatch.setattr(coexistence, "_eigvalsh_lo",
+                        lambda x: solved.append(len(x) if x.ndim == 3 else 1) or eigvalsh_lo(x))
     for a, b in _corner_pairs(dim, rng):
         am, bm = a.matrix, b.matrix
         k = am + bm - np.eye(dim)
         base = np.stack((np.zeros_like(k), am, bm, -k))
-        confirmed.clear()
+        solved.clear()
         with hermitian._lapack_checked():
             got = coexistence._corner_witness(am, bm, k, base)
-            assert len(confirmed) == (got[1] is not None)
+            count = sum(solved)
             want = _corner_by_residual(am, bm, k, base)
             cands = _corner_candidates(am, bm, k)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
         if got[1] is None:
+            assert count == 6
             continue
         assert got[1] < FEAS_TOL
         res = decide(a, b, fast_paths=False)
         assert res.iterations == 0 and verify_mn(a, b, *res.witness)
-        picked.add(next(i for i, cand in enumerate(cands)
-                        if cand.tobytes() == got[0].tobytes()))
+        index = next(i for i, cand in enumerate(cands) if cand.tobytes() == got[0].tobytes())
+        assert count == (7, 6, 7, 6, 8)[index]
+        picked.add(index)
     assert picked == {0, 1, 2, 3, 4}
 
 
@@ -722,6 +727,96 @@ def test_verifiers_fail_closed_on_wrongly_shaped_witnesses():
     assert not verify_mn(a, random_effect(2, seed=14), z, z)
     assert not verify_efg(a, random_effect(2, seed=14), z, z, z)
     assert not verify_mn(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_verifiers_fail_closed_when_the_eigensolver_fails(monkeypatch):
+    # The certificate checks call the gufunc outside _lapack_checked; fed
+    # NaN, it fails as on non-convergence.  The verifiers answer False, and
+    # the converters and _check_dual raise InvalidCertificate with margin NaN.
+    a = random_effect(3, seed=10)
+    b = sample_coexistent(a, 1, seed=11)[0]
+    m, n = decide(a, b, fast_paths=False).witness
+    e, f, g = mn_to_efg(m, n, a, b)
+    c, d = _criterion6_pair(3, 70)
+    dual = decide(c, d).dual
+    assert verify_mn(a, b, m, n) and verify_efg(a, b, e, f, g) and verify_dual(c, d, *dual)
+    real = coexistence._eigvalsh_lo
+    monkeypatch.setattr(coexistence, "_eigvalsh_lo", lambda x: real(np.full_like(x, np.nan)))
+    assert verify_mn(a, b, m, n) is False
+    assert verify_efg(a, b, e, f, g) is False
+    assert verify_dual(c, d, *dual) is False
+    for convert, args, constraint in ((mn_to_efg, (m, n, a, b), "M >= 0"),
+                                      (efg_to_mn, (e, f, g, a, b), "E >= 0"),
+                                      (coexistence._check_dual, (c, d, *dual, CERT_TOL),
+                                       f"dual bound < -{CERT_TOL:g}")):
+        with pytest.raises(InvalidCertificate) as err:
+            convert(*args)
+        assert err.value.constraint == constraint and np.isnan(err.value.margin)
+
+
+def test_rank_one_rule_raises_when_the_eigensolver_fails(monkeypatch):
+    # Rule 4's peak is read outside _lapack_checked: a failed eigvalsh must
+    # raise, not compare NaN with 1 and give a verdict.
+    a, b = rank_one_pair(0.6, 0.6, 0.3)
+    assert fast_path(a, b).reason == Reason.RANK_ONE_RULE
+    real = coexistence._eigvalsh_lo
+    monkeypatch.setattr(coexistence, "_eigvalsh_lo", lambda x: real(np.full_like(x, np.nan)))
+    with pytest.raises(np.linalg.LinAlgError):
+        fast_path(a, b)
+
+
+def test_frobenius_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for n in range(1, 9):
+        for _ in range(20):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for d in (x, x @ x.conj().T - x.conj().T @ x, 1e-160 * x, 1e150 * x):
+                assert coexistence._frobenius(d).hex() == float(np.linalg.norm(d)).hex()
+
+
+def test_validation_rules_and_certificates_call_no_numpy_wrapper(monkeypatch):
+    # Effect validation, the four exact rules, a corner hit, a barrier
+    # NotCoexistent pair and the five certificate functions call LAPACK's
+    # gufuncs directly and fill their stacks in place.  With np.linalg.eigh,
+    # eigvalsh and norm and np.stack raising, each gives its usual answer.
+    rng = trial_rng(0, "wrapper-free", 0)
+    pairs = [rule_instance(family, 3, rng)[:2] for family in RULE_FAMILIES]
+    pairs += [_criterion6_pair(3, 0), _criterion6_pair(3, 70)]
+    raw = [(a.matrix.copy(), b.matrix.copy()) for a, b in pairs]
+
+    def run():
+        out = []
+        for a_raw, b_raw in raw:
+            a, b = Effect(a_raw), Effect(b_raw)
+            res = decide(a, b)
+            answer = [res.verdict, res.reason, res.iterations, float(res.residual).hex(),
+                      a.matrix.tobytes(), b.matrix.tobytes(), a.eigenvalues.tobytes()]
+            if res.witness is not None:
+                m, n = res.witness
+                e, f, g = mn_to_efg(m, n, a, b)
+                answer += [verify_mn(a, b, m, n), verify_efg(a, b, e, f, g),
+                           [x.tobytes() for x in (m.matrix, n.matrix, e, f, g,
+                                                  *efg_to_mn(e, f, g, a, b))]]
+            if res.dual is not None:
+                answer += [verify_dual(a, b, *res.dual), [z.tobytes() for z in res.dual]]
+            out.append(answer)
+        return out
+
+    usual = run()
+    kinds = [(x[1], x[0], x[2] == 0) for x in usual]
+    assert {reason for reason, _, _ in kinds} == set(Reason) - {Reason.BLOCKWISE}
+    assert (Reason.FEASIBILITY_SOLVER, Verdict.COEXISTENT, True) in kinds
+    assert (Reason.FEASIBILITY_SOLVER, Verdict.NOT_COEXISTENT, False) in kinds
+    assert all(v for x in usual for v in x if isinstance(v, bool))  # every verifier accepts
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a numpy wrapper was called")
+
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    monkeypatch.setattr(np, "stack", banned)
+    assert run() == usual
 
 
 def test_decide_rejects_non_finite_input():

@@ -224,13 +224,13 @@ def test_validated_effect_keeps_eigenvalues_but_no_eigenvectors(monkeypatch):
     # eigenvectors are computed on first use of eig, once.
     m = random_effect(4, seed=10).matrix.copy()
     calls = []
-    eigh = np.linalg.eigh
+    eigh, eigh_lo = np.linalg.eigh, hermitian._eigh_lo
 
-    def counting_eigh(x, *args, **kwargs):
+    def counting_eigh(x):
         calls.append(x)
-        return eigh(x, *args, **kwargs)
+        return eigh_lo(x)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(hermitian, "_eigh_lo", counting_eigh)
     e = Effect(m)
     assert len(calls) == 1
     w = e.eigenvalues
@@ -259,13 +259,13 @@ def test_clamped_effect_decomposes_its_stored_matrix():
 def test_trusted_effect_decomposes_once_on_first_use(monkeypatch):
     m = random_effect(3, seed=9).matrix
     calls = []
-    eigh = np.linalg.eigh
+    eigh, eigh_lo = np.linalg.eigh, hermitian._eigh_lo
 
-    def counting_eigh(x, *args, **kwargs):
+    def counting_eigh(x):
         calls.append(x)
-        return eigh(x, *args, **kwargs)
+        return eigh_lo(x)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(hermitian, "_eigh_lo", counting_eigh)
     e = Effect.trusted(m)
     assert calls == []
     first = e.eig
@@ -371,6 +371,22 @@ def test_psd_part_raises_when_the_eigensolver_fails(monkeypatch):
                         lambda m: real(np.full_like(m, np.nan)))
     with pytest.raises(np.linalg.LinAlgError):
         psd_part(np.diag([-1.0, 0.5, 0.5]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_effect_raises_when_the_eigensolver_fails(monkeypatch):
+    # Validation and Effect.eig call the gufunc outside _lapack_checked; fed
+    # NaN, it fails as on non-convergence, and neither may keep NaN spectra.
+    m = random_effect(3, seed=43).matrix.copy()
+    trusted = Effect.trusted(m)
+    real = hermitian._eigh_lo
+    monkeypatch.setattr(hermitian, "_eigh_lo", lambda x: real(np.full_like(x, np.nan)))
+    with pytest.raises(np.linalg.LinAlgError):
+        Effect(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        trusted.eig
+    with pytest.raises(np.linalg.LinAlgError):
+        trusted.eigenvalues
 
 
 def test_sqrt_psd_squares_back():

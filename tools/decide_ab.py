@@ -9,22 +9,26 @@ own (``effectkit_base``, ``effectkit_change``) and both are imported here,
 so the two run side by side in one process, on one BLAS thread.
 
 Each checkout builds its own inputs, untimed, with the stream builder of
-``tools/verdicts.py``: round 0 of the benchmark's ``generic`` workload for
-each seed given, round 0 of its ``rules`` workload at the first seed, and
-round 0 of its ``symmetry`` workload for each seed given.  A ``generic``
-operation is ``decide(a, b)`` on two Effects; a ``rules`` operation is the
-benchmark's: two Effects built from raw arrays, ``decide``, then
-``verify_mn`` and ``mn_to_efg`` on any witness.  A ``symmetry`` operation
-is the benchmark's own ``Symmetry.run``: build the map handle,
-``reconstruct``, ``verify_reconstruction`` over 20 trials and classify
-two source/image pairs.  Every stream is run --runs times, the checkouts
+``tools/verdicts.py``: round 0 of the benchmark's ``generic``, ``rules``
+and ``symmetry`` workloads for each seed given.  A ``generic`` operation is
+``decide(a, b)`` on two Effects; a ``rules`` operation is the benchmark's:
+two Effects built from raw arrays, ``decide``, then ``verify_mn`` and
+``mn_to_efg`` on any witness.  One ``rules`` round is 200 operations, so
+one seed resolves little below about 10%; give several.  A ``symmetry``
+operation is the benchmark's own ``Symmetry.run``: build the map handle,
+``reconstruct``, ``verify_reconstruction`` over 20 trials and classify two
+source/image pairs.  Every stream is run --runs times, the checkouts
 alternating which goes first, and each operation keeps its minimum over
 the runs.  Per checkout the script prints, over those minima, the median,
 the mean of the decisions that took 0 Newton steps and the mean of those
 that took at least one (``symmetry``: the mean of all), the 95th
-percentile and the total, and the ratio change / base of each.  On
-``symmetry`` it also checks that both checkouts return the same flags,
-unitary bytes, gap (``float.hex``), query count and strata per operation.
+percentile and the total, and the ratio change / base of each.  It also
+checks that both checkouts return the same answer per operation: on
+``generic`` and ``rules`` the verdict, reason, residual (``float.hex``),
+Newton steps and witness and dual bytes, and on ``rules`` whether
+``verify_mn`` accepts the witness and ``mn_to_efg`` converts it; on
+``symmetry`` the flags, unitary bytes, gap (``float.hex``), query count
+and strata.
 
 It is informational and exits 0, or 1 if that check fails.  Run-to-run
 noise on a small shared host can exceed 30% between benchmark processes;
@@ -80,14 +84,20 @@ def _op(pkg, workload: str, bench):
     if workload == "symmetry":
         return bench.Symmetry(0, HERE / ".bench_work").run
     if workload == "generic":
-        return lambda x: pkg.decide(x.a, x.b)
+        return lambda x: (pkg.decide(x.a, x.b), None)
 
-    def rules(x):
+    def rules(x):  # the decision, and the bench's certificate answer
         a, b = pkg.Effect(x.a), pkg.Effect(x.b)
         res = pkg.decide(a, b)
-        if res.witness is not None and pkg.verify_mn(a, b, *res.witness):
+        if res.witness is None:
+            return res, None
+        if not pkg.verify_mn(a, b, *res.witness):
+            return res, False
+        try:
             pkg.mn_to_efg(*res.witness, a, b)
-        return res
+        except pkg.InvalidCertificate:
+            return res, False
+        return res, True
     return rules
 
 
@@ -101,11 +111,16 @@ def _time(op, xs, best, results):
         results[i] = res
 
 
-def _symmetry_signature(res) -> tuple:
-    """What both checkouts must return alike for one symmetry operation."""
-    fit = res.fit
-    return (fit.antiunitary, fit.perp, fit.unitary.tobytes(), float(res.verify_gap).hex(),
-            res.queries, res.strata)
+def _signature(workload: str, out) -> tuple:
+    """What both checkouts must return alike for one operation."""
+    if workload == "symmetry":
+        fit = out.fit
+        return (fit.antiunitary, fit.perp, fit.unitary.tobytes(),
+                float(out.verify_gap).hex(), out.queries, out.strata)
+    res, certified = out
+    parts = [e.matrix for e in res.witness or ()] + list(res.dual or ())
+    return (res.verdict.value, res.reason.value, float(res.residual).hex(), res.iterations,
+            [x.tobytes() for x in parts], certified)
 
 
 def _stats(best, results, workload) -> dict:
@@ -114,7 +129,7 @@ def _stats(best, results, workload) -> dict:
     if workload == "symmetry":
         out["mean us"] = statistics.fmean(us)
     else:
-        steps = [res.iterations for res in results]
+        steps = [res.iterations for res, _ in results]
         zero = [t * 1e6 for t, k in zip(best, steps) if k == 0]
         solved = [t * 1e6 for t, k in zip(best, steps) if k > 0]
         out["0-step mean us"] = statistics.fmean(zero) if zero else float("nan")
@@ -129,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("change", nargs="?", type=Path, default=HERE)
     parser.add_argument("--seeds", default="1,3",
-                        help="comma-separated seeds of the generic rounds (default 1,3)")
+                        help="comma-separated seeds of the rounds (default 1,3)")
     parser.add_argument("--runs", type=int, default=11,
                         help="interleaved runs per stream; each operation keeps its minimum")
     args = parser.parse_args(argv)
@@ -143,8 +158,8 @@ def main(argv=None) -> int:
         pkgs = [_load(path.resolve(), name, tmp)
                 for path, name in ((args.base, "effectkit_base"),
                                    (args.change, "effectkit_change"))]
-        streams = ([("generic", seed) for seed in seeds] + [("rules", seeds[0])]
-                   + [("symmetry", seed) for seed in seeds])
+        streams = [(workload, seed) for workload in ("generic", "rules", "symmetry")
+                   for seed in seeds]
         for workload, seed in streams:
             built = [_inputs(pkg, workload, seed) for pkg in pkgs]
             xs = [x for x, _ in built]
@@ -155,15 +170,14 @@ def main(argv=None) -> int:
                 for side in ((0, 1) if run % 2 == 0 else (1, 0)):
                     _time(ops[side], xs[side], best[side], results[side])
             base, change = (_stats(b, r, workload) for b, r in zip(best, results))
-            if workload == "symmetry":
-                if ([_symmetry_signature(r) for r in results[0]]
-                        != [_symmetry_signature(r) for r in results[1]]):
-                    print(f"symmetry seed {seed}: the checkouts' answers differ",
-                          file=sys.stderr)
-                    return 1
-                kind = "answers equal"
-            else:
-                kind = f"{sum(r.iterations == 0 for r in results[0])} of them 0-step"
+            if ([_signature(workload, r) for r in results[0]]
+                    != [_signature(workload, r) for r in results[1]]):
+                print(f"{workload} seed {seed}: the checkouts' answers differ",
+                      file=sys.stderr)
+                return 1
+            kind = "answers equal"
+            if workload != "symmetry":
+                kind += f", {sum(r.iterations == 0 for r, _ in results[0])} of them 0-step"
             print(f"{workload} seed {seed}: {len(xs[0])} operations, {kind}; "
                   f"min of {args.runs} interleaved runs each")
             for key in base:

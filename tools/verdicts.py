@@ -43,9 +43,24 @@ are not standard, and records the name of the exception each raises, or
 ``ok``.  It prints ``bytes: same`` or ``bytes: differ`` over each fit's
 unitary bytes, flags, residual and gap (``float.hex``) and each ges
 outcome, and each checkout's total calls to the map handles during the
-fits of the first two groups; it too is informational.  The exit status is 1 if a definite
-verdict flipped or became Indeterminate, or a certificate failed, and 0
-otherwise.
+fits of the first two groups; it too is informational.
+
+The ``checks`` section runs the certificate checks in each checkout on every
+witness and dual of the six streams, as decided and perturbed so that each
+constraint fails in turn.  A witness (M, N) goes through ``verify_mn`` and
+``mn_to_efg``, and its triple (E, F, G) = (A - M, N, M) through
+``verify_efg`` and ``efg_to_mn``; its variants shift M by +-2 CERT_TOL I,
+move N off B (and E off A), put NaN in one entry of M or cut M to the
+wrong shape.  A
+dual (Z2, Z3, Z4) goes through ``verify_dual`` and, for the margin,
+``_check_dual``; its variants shift Z2 by +-2 CERT_TOL I, put NaN in one
+entry, cut Z2 to the wrong shape, zero, negate or swap Z2 and Z3, and make
+A non-Hermitian.  It prints ``bytes: same`` or ``bytes: differ`` over each
+call's answer, with the violated constraint and its margin (``float.hex``)
+where one is raised, and the converters' output bytes; and, from CHANGE,
+how often each constraint was reported.  It too is informational.  The
+exit status is 1 if a definite verdict flipped or became Indeterminate, or
+a certificate failed, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -222,12 +237,68 @@ def _map_fits():
     return {"fingerprints": prints, "calls": calls, "ges": ges}
 
 
+def _outcome(check, *args) -> list:
+    """One check's answer: its bool or output bytes, or what it raised."""
+    try:
+        out = check(*args)
+    except ValueError as exc:  # InvalidCertificate and LinAlgError among them
+        margin = getattr(exc, "margin", None)
+        return [type(exc).__name__, getattr(exc, "constraint", str(exc)),
+                None if margin is None else float(margin).hex()]
+    if out is None or isinstance(out, bool):
+        return [out]
+    return [hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest()]
+
+
+def _witness_checks(co, am, bm, mm, nm) -> list:
+    """verify_mn, mn_to_efg, verify_efg and efg_to_mn on (M, N) and its variants."""
+    import numpy as np
+
+    n = am.shape[0]
+    shift = 2.0 * co.CERT_TOL * np.eye(n)
+    off = np.zeros((n, n))
+    off[0, -1] = off[-1, 0] = 2.0 * co.CERT_TOL
+    nan = mm.copy()
+    nan[0, 0] = np.nan
+    variants = [(mm, nm, 0.0), (mm + shift, nm, 0.0), (mm - shift, nm, 0.0),
+                (mm, nm + off, off), (nan, nm, 0.0), (mm[:-1, :-1], nm, 0.0)]
+    out = []
+    for m, n_, e_off in variants:
+        e = (am - m if m.shape == am.shape else am - mm) + e_off
+        out += [_outcome(co.verify_mn, am, bm, m, n_), _outcome(co.mn_to_efg, m, n_, am, bm),
+                _outcome(co.verify_efg, am, bm, e, n_, m),
+                _outcome(co.efg_to_mn, e, n_, m, am, bm)]
+    return out
+
+
+def _dual_checks(co, am, bm, z2, z3, z4) -> list:
+    """verify_dual and _check_dual on (Z2, Z3, Z4) and its variants."""
+    import numpy as np
+
+    n = am.shape[0]
+    shift = 2.0 * co.CERT_TOL * np.eye(n)
+    nan = z2.copy()
+    nan[0, 0] = np.nan
+    skew = am.copy()
+    skew[0, -1] += 1e-9
+    zero = np.zeros_like(z2)
+    variants = [(am, z2, z3, z4), (am, z2 + shift, z3, z4), (am, z2 - shift, z3, z4),
+                (am, nan, z3, z4), (am, z2[:-1, :-1], z3, z4), (am, zero, zero, zero),
+                (am, -z2, -z3, -z4), (am, z3, z2, z4), (skew, z2, z3, z4)]
+    out = []
+    for a, *zs in variants:
+        out += [_outcome(co.verify_dual, a, bm, *zs),
+                _outcome(co._check_dual, a, bm, *zs, co.CERT_TOL)]
+    return out
+
+
 def emit() -> dict:
     """Verdicts, certificate failures and byte fingerprints of the effectkit on sys.path."""
     import effectkit.coexistence as co
 
     verify_dual = getattr(co, "verify_dual", None)
     out = {}
+    checks, constraints = [], Counter()
     for stream in STREAMS:
         verdicts, steps, prints, bad, worst = [], [], [], 0, 0.0
         for a, b, fast in _pairs(stream):
@@ -242,9 +313,19 @@ def emit() -> dict:
             if dual is not None and not verify_dual(a, b, *dual):
                 bad += 1
             prints.append(_fingerprint(res, dual))
+            outcomes = []
+            if res.witness is not None:
+                outcomes += _witness_checks(co, a.matrix, b.matrix,
+                                            *(e.matrix for e in res.witness))
+            if dual is not None:
+                outcomes += _dual_checks(co, a.matrix, b.matrix, *dual)
+            if outcomes:
+                checks.append(hashlib.sha256(repr(outcomes).encode()).hexdigest())
+                constraints.update(x[1] for x in outcomes if len(x) == 3)
         out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
                        "max_witness_residual": worst, "fingerprints": prints}
     out["maps"] = _map_fits()
+    out["checks"] = {"fingerprints": checks, "constraints": dict(constraints)}
     return out
 
 
@@ -321,6 +402,11 @@ def main(argv=None) -> int:
           f"{len(maps[1]['ges'])} ges fits: {dict(sorted(Counter(maps[1]['ges']).items()))}")
     print(f"  bytes: {'same' if same else 'differ'}; "
           f"ges outcomes: {'same' if same_ges else 'differ'}")
+    checks = base["checks"], change["checks"]
+    same = checks[0]["fingerprints"] == checks[1]["fingerprints"]
+    print(f"checks: {len(checks[1]['fingerprints'])} certificates, each with its variants; "
+          f"constraints reported (change): {dict(sorted(checks[1]['constraints'].items()))}")
+    print(f"  bytes: {'same' if same else 'differ'}")
     return 1 if failed else 0
 
 
