@@ -261,13 +261,9 @@ def _meet(am: np.ndarray, bm: np.ndarray) -> np.ndarray:
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(4, 1, 1)
 
 
-def _residual(x, base, rows=slice(None), known=math.inf) -> float:
-    """Largest violation of the four constraints at x, or 0 if none.
-
-    Solves the slacks base[rows] + _SIGNS[rows] * x; known is the smallest
-    eigenvalue of the others, where the caller has solved them already.
-    """
-    lo = min(_eigvalsh_lo(base[rows] + _SIGNS[rows] * x).min(), known)
+def _residual(x, base) -> float:
+    """Largest violation of the four constraints at x, or 0 if none."""
+    lo = _eigvalsh_lo(base + _SIGNS * x).min()
     return max(0.0, float(-lo))
 
 
@@ -285,13 +281,11 @@ def _corner_witness(am, bm, k, base):
     stacked eigvalsh of M and M - K screens it.  The first candidate that
     passes its screen is confirmed against the full residual, so a hit is
     an exact certificate, not a heuristic, and the first candidate whose
-    residual is below FEAS_TOL is the one returned.  The confirmation
-    solves only the slacks the screen has not: two on a K+ hit, K+ and
-    K+ - K.  It also settles pairs whose margin t* is 0, which the
-    barrier's strictly feasible iterates only approach from below.  Returns
-    (M, residual) on a hit and (meet, None) on a miss, the meet being the
-    barrier's starting point.  Both screens fill one buffer in place, and
-    M = 0 is base[0].
+    residual is below FEAS_TOL is the one returned.  It also settles pairs
+    whose margin t* is 0, which the barrier's strictly feasible iterates
+    only approach from below.  Returns (M, residual) on a hit and (meet,
+    None) on a miss, the meet being the barrier's starting point.  Both
+    screens fill one buffer in place, and M = 0 is base[0].
     """
     kp = _psd_kernel(k)
     screen = np.empty_like(base)
@@ -299,27 +293,18 @@ def _corner_witness(am, bm, k, base):
     np.subtract(bm, am, out=screen[1])
     np.subtract(base[1:3], kp, out=screen[2:])  # A - K+, B - K+
     lo = _eigvalsh_lo(screen)
-    # Each candidate, whether it passes its screen, the smallest eigenvalue
-    # the screen solved of its slacks (B - A for M = A, A - K+ and B - K+
-    # for K+, with the bytes of those slack rows) and the slack rows left to
-    # solve.  A candidate's own slack of zeros (M, A - M or B - M) is left
-    # out: its eigenvalues are 0, and the residual is clamped at 0.
-    b_a, kp_low = lo[1, 0], min(lo[2, 0], lo[3, 0])
-    screens = ((base[0], lo[0, -1] <= FEAS_TOL, math.inf, slice(1, 4)),
-               (am, b_a >= -FEAS_TOL, b_a, slice(0, 4, 3)),
-               (bm, lo[1, -1] <= FEAS_TOL, math.inf, [0, 1, 3]),
-               (kp, kp_low >= -FEAS_TOL, kp_low, slice(0, 4, 3)))
-    for cand, passes, known, rows in screens:
+    screens = (lo[0, -1] <= FEAS_TOL, lo[1, 0] >= -FEAS_TOL,
+               lo[1, -1] <= FEAS_TOL, min(lo[2, 0], lo[3, 0]) >= -FEAS_TOL)
+    for cand, passes in zip((base[0], am, bm, kp), screens):
         if passes:
-            r = _residual(cand, base, rows, known)
+            r = _residual(cand, base)
             if r < FEAS_TOL:
                 return cand, r
     meet = _meet(am, bm)
     screen[0] = meet
     np.subtract(meet, k, out=screen[1])
-    meet_low = _eigvalsh_lo(screen[:2])[:, 0].min()  # M and M - K
-    if meet_low >= -FEAS_TOL:
-        r = _residual(meet, base, slice(1, 3), meet_low)
+    if _eigvalsh_lo(screen[:2])[:, 0].min() >= -FEAS_TOL:
+        r = _residual(meet, base)
         if r < FEAS_TOL:
             return meet, r
     return meet, None
@@ -616,19 +601,14 @@ def _check_psd(names, stack: np.ndarray, tol: float):
     order, raises.
 
     A non-finite matrix fails with margin NaN.  The finite ones before it go
-    through one stacked _eigvalsh_lo of their Hermitian parts, which
-    overwrite them, formed as X/2 + X*/2 so that finite entries near the
-    float limit cannot overflow.  If LAPACK fails, its NaN eigenvalues fail
-    the check with margin NaN.
+    through one stacked _eigvalsh_lo of their Hermitian parts, formed as
+    X/2 + X*/2 so that finite entries near the float limit cannot overflow.
+    If LAPACK fails, its NaN eigenvalues fail the check with margin NaN.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
     checked = len(stack) if finite.all() else int(finite.argmin())
     herm = stack[:checked]
-    half_adjoint = herm.conj()
-    half_adjoint /= 2.0
-    herm /= 2.0
-    herm += half_adjoint.swapaxes(1, 2)
-    lows = _eigvalsh_lo(herm)[:, 0].tolist()
+    lows = _eigvalsh_lo(herm / 2.0 + herm.conj().swapaxes(1, 2) / 2.0)[:, 0].tolist()
     for name, lo in zip(names, lows):
         if not lo >= -tol:
             raise InvalidCertificate(f"{name} >= 0", -lo)

@@ -140,7 +140,9 @@ class Effect:
     given, else computed on first use.  ``eig``, the eigendecomposition
     (the bytes of np.linalg.eigh of the stored matrix, read-only), is
     computed on first use; its eigenvalues have the bytes of
-    ``eigenvalues``.  A failed LAPACK call raises LinAlgError.
+    ``eigenvalues``.  A failed LAPACK call raises LinAlgError; a failure
+    LAPACK reports first warns under the default errstate and raises
+    FloatingPointError instead under np.seterr(invalid="raise").
     """
 
     __slots__ = ("_matrix", "_eigenvalues", "_eig")

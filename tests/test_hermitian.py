@@ -377,16 +377,21 @@ def test_psd_part_raises_when_the_eigensolver_fails(monkeypatch):
 def test_effect_raises_when_the_eigensolver_fails(monkeypatch):
     # Validation and Effect.eig call the gufunc outside _lapack_checked; fed
     # NaN, it fails as on non-convergence, and neither may keep NaN spectra.
+    # The gufunc runs under the caller's errstate: LinAlgError by default,
+    # FloatingPointError under invalid="raise".
     m = random_effect(3, seed=43).matrix.copy()
     trusted = Effect.trusted(m)
     real = hermitian._eigh_lo
     monkeypatch.setattr(hermitian, "_eigh_lo", lambda x: real(np.full_like(x, np.nan)))
-    with pytest.raises(np.linalg.LinAlgError):
-        Effect(m)
-    with pytest.raises(np.linalg.LinAlgError):
-        trusted.eig
-    with pytest.raises(np.linalg.LinAlgError):
-        trusted.eigenvalues
+    for invalid, error in (("warn", np.linalg.LinAlgError), ("ignore", np.linalg.LinAlgError),
+                           ("raise", FloatingPointError)):
+        with np.errstate(invalid=invalid):
+            with pytest.raises(error):
+                Effect(m)
+            with pytest.raises(error):
+                trusted.eig
+            with pytest.raises(error):
+                trusted.eigenvalues
 
 
 def test_sqrt_psd_squares_back():

@@ -58,9 +58,9 @@ entry, cut Z2 to the wrong shape, zero, negate or swap Z2 and Z3, and make
 A non-Hermitian.  It prints ``bytes: same`` or ``bytes: differ`` over each
 call's answer, with the violated constraint and its margin (``float.hex``)
 where one is raised, and the converters' output bytes; and, from CHANGE,
-how often each constraint was reported.  It too is informational.  The
-exit status is 1 if a definite verdict flipped or became Indeterminate, or
-a certificate failed, and 0 otherwise.
+how often each constraint was reported.  The exit status is 1 if a
+definite verdict flipped or became Indeterminate, a certificate failed or
+the ``checks`` bytes differ, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -407,6 +407,7 @@ def main(argv=None) -> int:
     print(f"checks: {len(checks[1]['fingerprints'])} certificates, each with its variants; "
           f"constraints reported (change): {dict(sorted(checks[1]['constraints'].items()))}")
     print(f"  bytes: {'same' if same else 'differ'}")
+    failed |= not same
     return 1 if failed else 0
 
 
