@@ -102,7 +102,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_stratify(args) -> int:
     e = _load_effect(args.a)
-    p, q = classify(e, CLASSIFY_TOL if args.tol is None else args.tol)
+    try:
+        p, q = classify(e, CLASSIFY_TOL if args.tol is None else args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print(f"p: {p}")
     print(f"q: {q}")
     print(f"freedom_dimension: {freedom_dimension(e.dim, p, q)}")

@@ -38,7 +38,6 @@ from .hermitian import (
     clamped_effect,
     direct_sum,
     random_effect,
-    require_hermitian,
     require_tolerance,
     sqrt_psd,
     _clipped,
@@ -201,22 +200,18 @@ def fast_path(a, b) -> CoexistenceVerdict | None:
         t = float(wb.sum() / wb.size)
         return _coexistent(Reason.SCALAR_RULE, t * am, t * (_identity(ea.dim) - am))
 
-    comm = _frobenius(am @ bm - bm @ am)
-    commute = comm <= DETECTION_TOL
-
     # Rule 2: projections (every eigenvalue within DETECTION_TOL of 0 or 1)
-    # coexist exactly with their commutant.
-    if any(all(x <= DETECTION_TOL or x >= 1.0 - DETECTION_TOL for x in ls)
-           for ls in (la, lb)):
-        if commute:
-            m = _meet(am, bm)
-            return _coexistent(Reason.PROJECTION_RULE, m, bm - m)
-        return _not_coexistent(Reason.PROJECTION_RULE, comm)
-
-    # Rule 3: commuting effects always coexist.
-    if commute:
+    # coexist exactly with their commutant.  Rule 3: commuting effects
+    # always coexist.  Both witnesses are the meet.
+    comm = _frobenius(am @ bm - bm @ am)
+    projection = any(all(x <= DETECTION_TOL or x >= 1.0 - DETECTION_TOL for x in ls)
+                     for ls in (la, lb))
+    if comm <= DETECTION_TOL:
         m = _meet(am, bm)
-        return _coexistent(Reason.COMMUTE_RULE, m, bm - m)
+        reason = Reason.PROJECTION_RULE if projection else Reason.COMMUTE_RULE
+        return _coexistent(reason, m, bm - m)
+    if projection:
+        return _not_coexistent(Reason.PROJECTION_RULE, comm)
 
     # Rule 4: rank-one pair with distinct images.  Not scalar, so dim >= 2.
     if la[-2] <= CLASSIFY_TOL < la[-1] and lb[-2] <= CLASSIFY_TOL < lb[-1]:
@@ -578,8 +573,8 @@ def decide_blockwise(a_blocks, b_blocks) -> CoexistenceVerdict:
     if all(res.witness is not None for res in results):
         m_blocks = [res.witness[0] for res in results]
         n_blocks = [res.witness[1] for res in results]
-        witness = (Effect.trusted(direct_sum(m_blocks)),
-                   Effect.trusted(direct_sum(n_blocks)))
+        witness = (Effect._owned(direct_sum(m_blocks)),
+                   Effect._owned(direct_sum(n_blocks)))
     return CoexistenceVerdict(Verdict.COEXISTENT, Reason.BLOCKWISE, witness,
                               residual, iterations)
 
@@ -797,34 +792,3 @@ def sample_coexistent(a, count: int, seed) -> list[Effect]:
         out.append(clamped_effect(m + n))
     return out
 
-
-def interior_perturbation(a, b, eps: float) -> np.ndarray:
-    """Perturb B, sandwiched 0 <= B <= A, into the strict interior (0, A).
-
-    Conjugates B into the frame of A, clamps the resulting spectrum into
-    [delta, 1 - delta], and maps back; delta is chosen so the output moves
-    by less than eps in operator norm while both C and A - C stay invertible.
-    A and B are checked as require_hermitian checks them: a non-finite or
-    non-Hermitian input raises NotHermitian.
-    """
-    require_tolerance(eps, "eps", positive=True)
-    am, bm = require_hermitian(a), require_hermitian(b)
-    w, v = np.linalg.eigh(am)
-    if w[0] < DETECTION_TOL:
-        raise ValueError(f"A must be invertible: smallest eigenvalue {w[0]:.6g}")
-    if np.linalg.eigvalsh(bm)[0] < -ORDER_TOL:
-        raise ValueError("need B >= 0")
-    if np.linalg.eigvalsh(am - bm)[0] < -ORDER_TOL:
-        raise ValueError("need B <= A")
-
-    inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    root = (v * np.sqrt(w)) @ v.conj().T
-
-    kappa = math.sqrt(w[-1] / w[0])
-    delta = min(eps / (2.0 * w[-1] * kappa), 0.25)
-
-    mid = inv_root @ bm @ inv_root
-    wm, vm = np.linalg.eigh((mid + mid.conj().T) / 2.0)
-    clamped = (vm * np.clip(wm, delta, 1.0 - delta)) @ vm.conj().T
-    c = root @ clamped @ root
-    return (c + c.conj().T) / 2.0

@@ -139,7 +139,7 @@ def rule_instance(rule: str, dim: int, rng) -> tuple[Effect, Effect, Verdict]:
     if rule == "projection-commuting":
         rank = int(rng.integers(1, dim))
         p = random_projection(dim, rank, rng)
-        _, v = np.linalg.eigh(p.matrix)
+        v = p.eig.eigenvectors
         w = rng.uniform(1e-3, 1.0 - 1e-3, size=dim)
         b = (v * w) @ v.conj().T
         return p, Effect.trusted((b + b.conj().T) / 2), Verdict.COEXISTENT
@@ -390,14 +390,14 @@ def _suite_lem4_witness(cfg: HarnessConfig, index: int, rng) -> TrialOutcome:
             and res_far.verdict is Verdict.NOT_COEXISTENT
 
     for base, other in ((a, b), (b, a)):
-        _, v = np.linalg.eigh(base.matrix)
+        v = base.eig.eigenvectors
         for cols in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
             sub = v[:, cols]
             c = Effect.trusted(sub @ sub.conj().T)
             if distinguishes(c, base, other):
                 return TrialOutcome("pass")
     # Fallback: random members of the commutant of A against B.
-    _, v = np.linalg.eigh(a.matrix)
+    v = a.eig.eigenvectors
     for _ in range(20):
         w = rng.uniform(1e-3, 1.0 - 1e-3, size=dim)
         c = clamped_effect((v * w) @ v.conj().T)

@@ -41,7 +41,7 @@ EFFECT_SPECTRUM_TOL = 1e-9  # Effect: spectrum snapped onto [0, 1] within it
 ORDER_TOL = 1e-9            # Loewner order; fast_path's rank-one peak test
 DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
                             # image-overlap tests; apply_ges_bijective's scalar
-                            # test; interior_perturbation's invertibility test
+                            # test
 CLASSIFY_TOL = 1e-7         # strata predicates (classify, is_scalar,
                             # is_projection, canonical_form); fast_path's rank
 
@@ -50,16 +50,15 @@ CLASSIFY_TOL = 1e-7         # strata predicates (classify, is_scalar,
 INTERIOR_MARGIN = 1e-3
 
 
-def require_tolerance(value: float, name: str = "tol", positive: bool = False) -> float:
-    """Return a caller's tolerance if it is finite and >= 0 (> 0 if positive).
+def require_tolerance(value: float) -> float:
+    """Return a caller's tolerance if it is finite and >= 0.
 
-    Every public function that takes a tolerance (or eps) from its caller
-    checks it here first: a NaN tolerance makes every ``dev > tol`` test
-    False, and a negative one inverts order tests.
+    Every public function that takes a tolerance from its caller checks it
+    here first: a NaN tolerance makes every ``dev > tol`` test False, and a
+    negative one inverts order tests.
     """
-    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {value!r}")
     return value
 
 
@@ -123,8 +122,7 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Takes one decomposition or a stack of them.
     """
-    m = (v * w.clip(0.0, 1.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_part((v * w.clip(0.0, 1.0)[..., None, :]) @ v.conj().mT)
 
 
 class Effect:
@@ -250,7 +248,7 @@ def clamped_effect(matrix) -> Effect:
     use it to round a near-effect produced by a numerical solve onto the set
     of exact effects.
     """
-    return Effect.trusted(_clipped(*np.linalg.eigh(require_hermitian(matrix))))
+    return Effect._owned(_clipped(*np.linalg.eigh(require_hermitian(matrix))))
 
 
 @functools.lru_cache(maxsize=8)

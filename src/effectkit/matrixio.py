@@ -92,16 +92,14 @@ def read_document(path) -> dict:
         raise FileFormatError(f"not UTF-8 text: {exc}") from exc
 
 
-def matrix_document(matrix, kind: str | None = None) -> dict:
+def matrix_document(matrix) -> dict:
     """Document form of a matrix; Effects are marked kind "effect"."""
-    if kind is None and isinstance(matrix, Effect):
-        kind = "effect"
     m = as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     doc = {"dim": int(m.shape[0])}
-    if kind is not None:
-        doc["kind"] = str(kind)
+    if isinstance(matrix, Effect):
+        doc["kind"] = "effect"
     doc["entries"] = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return doc
 
@@ -145,8 +143,8 @@ def document_matrix(doc: dict):
     return m
 
 
-def write_matrix(path, matrix, kind: str | None = None):
-    write_document(path, matrix_document(matrix, kind))
+def write_matrix(path, matrix):
+    write_document(path, matrix_document(matrix))
 
 
 def read_matrix(path):

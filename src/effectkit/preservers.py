@@ -197,15 +197,15 @@ class BlockCounterexampleSpec:
         return len(self.vectors)
 
 
-def random_block_spec(dim: int, seed, terms: int = 4) -> BlockCounterexampleSpec:
+def random_block_spec(dim: int, seed) -> BlockCounterexampleSpec:
     rng = _rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     t = z * (rng.uniform(0.6, 1.0) / operator_norm(z))
     vecs = []
-    for _ in range(terms):
+    for _ in range(4):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vecs.append(v / np.linalg.norm(v))
-    diags = [rng.uniform(0.0, 1.0, size=dim) for _ in range(terms)]
+    diags = [rng.uniform(0.0, 1.0, size=dim) for _ in range(4)]
     return BlockCounterexampleSpec(t, tuple(vecs), tuple(diags))
 
 
@@ -220,7 +220,7 @@ def block_components(spec: BlockCounterexampleSpec, a) -> tuple[Effect, ...]:
         scalar_sum = scalar_sum + (2.0 ** -j) * weight * g
     return (
         e,
-        clamped_effect((squeezed + squeezed.conj().T) / 2.0),
+        clamped_effect(squeezed),
         Effect.trusted(e.matrix / 2.0),
         Effect.trusted(np.diag(scalar_sum).astype(complex)),
     )
@@ -280,11 +280,10 @@ class GesBijectiveSpec:
         return self.unitary.shape[0]
 
 
-def random_ges_spec(dim: int, seed, shuffle_grid: bool = True) -> GesBijectiveSpec:
+def random_ges_spec(dim: int, seed) -> GesBijectiveSpec:
     rng = _rng(seed)
     u = random_unitary(dim, rng)
-    nodes = np.linspace(0.0, 1.0, GRID_NODES)
-    grid = rng.permutation(nodes) if shuffle_grid else nodes
+    grid = rng.permutation(np.linspace(0.0, 1.0, GRID_NODES))
     return GesBijectiveSpec(u, grid, int(rng.integers(2 ** 62)))
 
 

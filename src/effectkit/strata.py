@@ -22,9 +22,12 @@ def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
 
     Eigenvalues within tol of an endpoint count as sitting on it.  For
     generated data the interior margin is four orders of magnitude wider than
-    the default tolerance, so classification is stable.
+    the default tolerance, so classification is stable.  A tol of 0.5 or
+    more raises ValueError: the two windows would overlap, and an eigenvalue
+    in both would count at 0 and at 1.
     """
-    require_tolerance(tol)
+    if require_tolerance(tol) >= 0.5:
+        raise ValueError(f"tol must be below 0.5 to keep 0 and 1 apart, got {tol!r}")
     w = as_effect(a).eigenvalues
     return int(np.count_nonzero(w >= 1.0 - tol)), int(np.count_nonzero(w <= tol))
 

@@ -76,6 +76,20 @@ def test_stratify_projection(tmp_path, capsys):
     assert "freedom_dimension: 10" in out
 
 
+def test_stratify_refuses_a_tol_of_one_half(tmp_path, capsys):
+    # At --tol 0.5, 0.5 I counted at both 0 and 1 (p: 2, q: 2), and
+    # freedom_dimension then failed with a traceback and exit 70.
+    path = tmp_path / "half.mat"
+    write_matrix(path, Effect(0.5 * np.eye(2)))
+    for tol in ("0.5", "0.9"):
+        assert main(["--tol", tol, "stratify", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert "tol must be below 0.5" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert main(["--tol", "0.49", "stratify", str(path)]) == 0
+    assert "p: 0\nq: 0\n" in capsys.readouterr().out
+
+
 def test_apply_standard_map(tmp_path, effects, capsys):
     pa, _ = effects
     spec_path = tmp_path / "std.spec"

@@ -18,7 +18,6 @@ from effectkit.coexistence import (
     decide_blockwise,
     efg_to_mn,
     fast_path,
-    interior_perturbation,
     mn_to_efg,
     sample_coexistent,
     verify_dual,
@@ -27,25 +26,17 @@ from effectkit.coexistence import (
 )
 from effectkit.harness import RULE_FAMILIES, rule_instance, trial_rng
 from effectkit.hermitian import (
-    ORDER_TOL,
     Effect,
     NotHermitian,
     as_matrix,
     conjugate,
     direct_sum,
-    operator_norm,
     orthocomplement,
     random_effect,
     random_projection,
     random_unitary,
     sqrt_psd,
 )
-
-
-def strictly_below(a, b):
-    """Whether B - A, symmetrised, is positive definite with margin above ORDER_TOL."""
-    d = as_matrix(b) - as_matrix(a)
-    return np.linalg.eigvalsh((d + d.conj().T) / 2.0)[0] > ORDER_TOL
 
 
 def rank_one_pair(alpha, beta, overlap):
@@ -923,57 +914,6 @@ def test_convexity_of_coexistent_samples():
         assert decide(a, mix).verdict != Verdict.NOT_COEXISTENT
 
 
-def test_interior_perturbation_zero_inside_identity():
-    c = interior_perturbation(np.eye(4), np.zeros((4, 4)), 0.1)
-    w = np.linalg.eigvalsh(c)
-    assert w[0] > 0.0
-    assert w[-1] == pytest.approx(w[0])
-    assert 0.0 < w[0] <= 0.05
-
-
-def test_interior_perturbation_upper_clamp():
-    a = 0.8 * np.eye(3)
-    c = interior_perturbation(a, a.copy(), 0.05)
-    ratio = c[0, 0].real / 0.8
-    assert 0.0 < ratio < 1.0
-    assert np.allclose(c, ratio * a, atol=1e-13)
-    assert strictly_below(c, a)
-
-
-def test_interior_perturbation_posts_on_random_pairs():
-    rng = np.random.default_rng(25)
-    for _ in range(10):
-        a = 0.2 * np.eye(4) + 0.8 * as_matrix(random_effect(4, seed=rng))
-        root = sqrt_psd(a)
-        b = root @ as_matrix(random_effect(4, seed=rng)) @ root
-        eps = 0.05
-        c = interior_perturbation(a, b, eps)
-        assert strictly_below(np.zeros((4, 4)), c)
-        assert strictly_below(c, a)
-        assert operator_norm(b - c) < eps
-
-
-def test_interior_perturbation_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        interior_perturbation(np.eye(2), 2.0 * np.eye(2), 0.1)   # B above A
-    with pytest.raises(ValueError):
-        interior_perturbation(np.diag([1.0, 0.0]), np.zeros((2, 2)), 0.1)  # singular A
-    for eps in (0.0, -0.1, float("nan"), float("inf")):  # eps not finite and > 0
-        with pytest.raises(ValueError, match="eps must be finite and > 0"):
-            interior_perturbation(np.eye(2), np.zeros((2, 2)), eps)
-
-
-def test_interior_perturbation_validates_hermitian_input():
-    # NaN used to come back as a NaN matrix, and a non-Hermitian A or B was
-    # silently replaced by its Hermitian part.
-    nan = np.diag([np.nan, 0.1])
-    skew = np.array([[0.2, 0.1], [0.0, 0.2]])
-    for a, b in ((np.eye(2), nan), (nan, np.zeros((2, 2))),
-                 (np.eye(2), skew), (np.eye(2) + 1j * skew, np.zeros((2, 2)))):
-        with pytest.raises(NotHermitian):
-            interior_perturbation(a, b, 0.1)
-
-
 def test_verdict_dataclass_shape():
     a = random_effect(2, seed=26)
     res = decide(a, a)
@@ -989,17 +929,18 @@ def test_verdict_dataclass_shape():
 def test_witnesses_are_not_validated_again(monkeypatch):
     # Every witness is built from validated effects, so _coexistent only
     # symmetrises it: a scalar-rule pair, a corner hit (A + B <= I, so
-    # M = 0) and a barrier pair are all decided with the validator broken.
+    # M = 0) and a barrier pair are all decided and verified with the
+    # validator broken, once the effects are built.
     def refuse(matrix):
         raise AssertionError("require_hermitian called on a witness")
 
-    monkeypatch.setattr(coexistence, "require_hermitian", refuse)
     rng = trial_rng(0, "acc6:3", 14)
     a, b = random_effect(3, seed=rng), random_effect(3, seed=rng)
     cases = ((Effect(0.4 * np.eye(3)), a, True, Reason.SCALAR_RULE, 0),
              (Effect(a.matrix / 3.0), Effect(b.matrix / 3.0), False,
               Reason.FEASIBILITY_SOLVER, 0),
              (a, b, True, Reason.FEASIBILITY_SOLVER, 3))
+    monkeypatch.setattr(hermitian, "require_hermitian", refuse)
     for x, y, fast, reason, steps in cases:
         res = decide(x, y, fast_paths=fast)
         assert res.coexistent and res.reason == reason and res.iterations == steps

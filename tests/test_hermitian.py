@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -141,13 +143,18 @@ def test_require_hermitian_rejects_asymmetric():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_entries_are_rejected():
-    for value in (np.nan, np.inf, -np.inf):
-        m = np.diag([value, 0.5])
-        for entry in (Effect, psd_part, clamped_effect):
-            with pytest.raises(NotHermitian):
-                entry(m)
+    # NotHermitian on every non-finite entry, with no warning, whatever the
+    # errstate: no arithmetic may touch the entries before they are tested.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state):
+                for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+                    m = np.diag([value, 0.5])
+                    for entry in (require_hermitian, Effect, psd_part, clamped_effect):
+                        with pytest.raises(NotHermitian):
+                            entry(m)
 
 
 def test_order_and_unitary_checks_reject_non_finite_input():

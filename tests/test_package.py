@@ -16,7 +16,7 @@ from types import ModuleType
 import pytest
 
 import effectkit
-from effectkit import harness, hermitian
+from effectkit import coexistence, harness, hermitian
 from effectkit.hermitian import random_effect
 from effectkit.matrixio import write_document, write_matrix
 from effectkit.preservers import preserver_spec_document, random_standard_spec
@@ -67,6 +67,7 @@ def test_effectkit_exports_the_documented_names_only():
     (hermitian, "spectrum"),
     (hermitian, "RECONSTRUCTION_TOL"),
     (harness, "write_report"),
+    (coexistence, "interior_perturbation"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(effectkit, name)

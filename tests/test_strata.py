@@ -37,6 +37,16 @@ def test_classify_mixed_diagonal():
     assert classify(np.diag([1.0, 0.5, 0.0]).astype(complex)) == (1, 1)
 
 
+def test_classify_refuses_a_tol_that_joins_the_endpoints():
+    # From tol = 0.5 the windows at 0 and 1 overlap: 0.5 I at dim 2 was
+    # classified (2, 2), which fits no dimension.
+    half = 0.5 * np.eye(2, dtype=complex)
+    for tol in (0.5, 0.75, 1e300):
+        with pytest.raises(ValueError, match="tol must be below 0.5"):
+            classify(half, tol)
+    assert classify(half, 0.49) == (0, 0)
+
+
 def test_classify_complement_swaps_label():
     for s in range(20):
         e = random_effect(5, stratum=(2, 1), seed=s)

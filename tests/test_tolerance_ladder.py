@@ -51,7 +51,13 @@ from effectkit.hermitian import (
     require_tolerance,
     require_unitary,
 )
-from effectkit.preservers import preserver_handle, random_standard_spec
+from effectkit.matrixio import matrix_document, write_matrix
+from effectkit.preservers import (
+    preserver_handle,
+    random_block_spec,
+    random_ges_spec,
+    random_standard_spec,
+)
 from effectkit.reconstruction import reconstruct
 from effectkit.strata import canonical_form, classify, is_projection, is_scalar
 
@@ -365,8 +371,6 @@ def test_good_tolerances_pass_and_inf_stays_internal():
     with pytest.raises(TypeError):
         require_hermitian(b.matrix - a.matrix, tol=math.inf)
     assert loewner_leq(a, a)
-    with pytest.raises(ValueError, match="eps must be finite and > 0"):
-        require_tolerance(0.0, "eps", positive=True)
 
 
 def test_fixed_settings_have_no_parameter_or_flag():
@@ -377,6 +381,12 @@ def test_fixed_settings_have_no_parameter_or_flag():
     for fn in fixed:
         params = inspect.signature(fn).parameters
         assert not {"tol", "cfg"} & set(params), fn.__name__
+    # Parameters that no caller set are gone too.
+    assert list(inspect.signature(require_tolerance).parameters) == ["value"]
+    for fn in (random_block_spec, random_ges_spec):
+        assert list(inspect.signature(fn).parameters) == ["dim", "seed"], fn.__name__
+    for fn in (matrix_document, write_matrix):
+        assert "kind" not in inspect.signature(fn).parameters, fn.__name__
     assert not hasattr(effectkit, "SolverConfig")
     assert not hasattr(effectkit, "MAX_CYCLES")
     assert effectkit.MAX_STEPS == 200

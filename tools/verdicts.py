@@ -58,9 +58,16 @@ entry, cut Z2 to the wrong shape, zero, negate or swap Z2 and Z3, and make
 A non-Hermitian.  It prints ``bytes: same`` or ``bytes: differ`` over each
 call's answer, with the violated constraint and its margin (``float.hex``)
 where one is raised, and the converters' output bytes; and, from CHANGE,
-how often each constraint was reported.  The exit status is 1 if a
-definite verdict flipped or became Indeterminate, a certificate failed or
-the ``checks`` bytes differ, and 0 otherwise.
+how often each constraint was reported.
+
+The ``harness`` section runs the property-test campaign in each checkout,
+``run_all(HarnessConfig(dims=(2, 3, 4), trials_per_suite=60, seed=4))``,
+and prints the sha256 of each report's ``report_signature`` (the report
+without its wall times) and ``bytes: same`` or ``bytes: differ``.
+
+The exit status is 1 if a definite verdict flipped or became
+Indeterminate, a certificate failed, or the ``checks`` or ``harness``
+bytes differ, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -292,6 +299,14 @@ def _dual_checks(co, am, bm, z2, z3, z4) -> list:
     return out
 
 
+def _harness_signature() -> str:
+    """sha256 of the report signature of one seeded harness campaign."""
+    from effectkit.harness import HarnessConfig, report_signature, run_all
+
+    report = run_all(HarnessConfig(dims=(2, 3, 4), trials_per_suite=60, seed=4))
+    return hashlib.sha256(report_signature(report).encode()).hexdigest()
+
+
 def emit() -> dict:
     """Verdicts, certificate failures and byte fingerprints of the effectkit on sys.path."""
     import effectkit.coexistence as co
@@ -326,6 +341,7 @@ def emit() -> dict:
                        "max_witness_residual": worst, "fingerprints": prints}
     out["maps"] = _map_fits()
     out["checks"] = {"fingerprints": checks, "constraints": dict(constraints)}
+    out["harness"] = _harness_signature()
     return out
 
 
@@ -406,6 +422,11 @@ def main(argv=None) -> int:
     same = checks[0]["fingerprints"] == checks[1]["fingerprints"]
     print(f"checks: {len(checks[1]['fingerprints'])} certificates, each with its variants; "
           f"constraints reported (change): {dict(sorted(checks[1]['constraints'].items()))}")
+    print(f"  bytes: {'same' if same else 'differ'}")
+    failed |= not same
+    same = base["harness"] == change["harness"]
+    print(f"harness: report signature sha256 (base, change): "
+          f"({base['harness']}, {change['harness']})")
     print(f"  bytes: {'same' if same else 'differ'}")
     failed |= not same
     return 1 if failed else 0
