@@ -569,12 +569,9 @@ def decide_blockwise(a_blocks, b_blocks) -> CoexistenceVerdict:
         return CoexistenceVerdict(Verdict.INDETERMINATE, Reason.BLOCKWISE,
                                   None, residual, iterations)
 
-    witness = None
-    if all(res.witness is not None for res in results):
-        m_blocks = [res.witness[0] for res in results]
-        n_blocks = [res.witness[1] for res in results]
-        witness = (Effect._owned(direct_sum(m_blocks)),
-                   Effect._owned(direct_sum(n_blocks)))
+    m_blocks = [res.witness[0] for res in results]
+    n_blocks = [res.witness[1] for res in results]
+    witness = (Effect._owned(direct_sum(m_blocks)), Effect._owned(direct_sum(n_blocks)))
     return CoexistenceVerdict(Verdict.COEXISTENT, Reason.BLOCKWISE, witness,
                               residual, iterations)
 

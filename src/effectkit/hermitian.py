@@ -347,8 +347,8 @@ def sqrt_psd(matrix) -> np.ndarray:
 
 
 def direct_sum(blocks: Sequence) -> np.ndarray:
-    """Block-diagonal matrix assembled from Hermitian blocks."""
-    mats = [as_matrix(b) for b in blocks]
+    """Block-diagonal matrix assembled from square, finite Hermitian blocks."""
+    mats = [_as_square_array(as_matrix(b)) for b in blocks]
     if not mats:
         raise ValueError("direct_sum needs at least one block")
     total = sum(m.shape[0] for m in mats)

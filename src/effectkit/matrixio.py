@@ -3,8 +3,8 @@
 Documents are JSON with a fixed float encoding: every float is written in
 scientific notation with 17 significant digits, so values round-trip exactly
 and identical data produces identical bytes.  A matrix document has fields
-``dim`` and ``entries`` (row-major list of [re, im] pairs); effects carry an
-extra ``"kind": "effect"`` marker and are re-validated on load.
+``dim`` and ``entries`` (row-major list of [re, im] pairs); an effect also has
+``"kind": "effect"``, the only kind accepted, and is re-validated on load.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ def document_matrix(doc: dict):
         raise FileFormatError(f"field 'entries' must hold {dim * dim} pairs")
     m = complex_entries(entries).reshape(dim, dim)
     kind = doc.get("kind")
+    if kind not in (None, "effect"):
+        raise FileFormatError(f"field 'kind' must be \"effect\" or absent, got {kind!r}")
     if kind == "effect":
         try:
             return Effect(m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +29,17 @@ from .hermitian import (
     _identity,
     _rng,
 )
+from .matrixio import FileFormatError, complex_entries, document_matrix, matrix_document
 from .strata import is_scalar
 
 GRID_NODES = 1025  # value table of g on {k/1024 : k = 0..1024}
+
+
+def _frozen_unitary(u) -> np.ndarray:
+    """A read-only copy of u, checked unitary once, for a spec to keep."""
+    u = require_unitary(np.array(u, dtype=complex))
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,7 @@ class StandardAutomorphismSpec:
     perp: bool = False
 
     def __post_init__(self):
-        u = require_unitary(np.array(self.unitary, dtype=complex))
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", _frozen_unitary(self.unitary))
 
     @property
     def dim(self) -> int:
@@ -98,26 +105,27 @@ class TraceThresholdSpec:
             raise ValueError("alpha must be nonnegative")
         grid = np.linspace(1e-3, 1.0, 1000)
         vals = grid ** self.alpha
-        if vals[-1] != 1.0 or np.any(vals <= 0.0) or np.any(np.diff(vals) < 0.0):
+        if np.any(vals <= 0.0) or np.any(np.diff(vals) < 0.0):
             raise ValueError("f fails its monotone-positive checks")
 
-    def f(self, t: float) -> float:
-        return float(t) ** self.alpha
 
-
-def apply_trace_threshold(spec: TraceThresholdSpec, a) -> Effect:
+def _by_trace(spec: TraceThresholdSpec, a, low) -> Effect:
+    """low(A, tr A) below trace 1, A in the middle band, and above trace n-1
+    the complement of low acting on the complement (whose trace n - s is at
+    most 1); at s = n-1 this agrees with the middle branch."""
     e = _effect_of_dim(a, spec.dim)
     n = spec.dim
     s = trace(e)
     if s <= 1.0:
-        return clamped_effect(spec.f(s) * e.matrix)
+        return clamped_effect(low(e.matrix, s))
     if s <= n - 1.0:
         return e
-    # High-trace branch: act on the complement (whose trace is n - s <= 1)
-    # and complement back.  At s = n-1 this agrees with the middle branch.
-    eye = np.eye(n)
-    inner = spec.f(n - s) * (eye - e.matrix)
-    return clamped_effect(eye - inner)
+    eye = _identity(n)
+    return clamped_effect(eye - low(eye - e.matrix, n - s))
+
+
+def apply_trace_threshold(spec: TraceThresholdSpec, a) -> Effect:
+    return _by_trace(spec, a, lambda m, s: s ** spec.alpha * m)
 
 
 def trace_threshold_inverse(spec: TraceThresholdSpec, b) -> Effect:
@@ -125,23 +133,12 @@ def trace_threshold_inverse(spec: TraceThresholdSpec, b) -> Effect:
 
     On the low-trace branch B = f(t) A with t = tr A, so s = tr B =
     t f(t) = t^(1 + alpha); hence t = s^(1/(1 + alpha)) in closed form and
-    A = (t/s) B.  The high-trace branch routes through the complement.
+    A = (t/s) B.
     """
-    eb = _effect_of_dim(b, spec.dim)
-    n = spec.dim
-    s = trace(eb)
-    if s <= 1.0:
-        return clamped_effect(_inverse_low_trace(spec, eb.matrix, s))
-    if s <= n - 1.0:
-        return eb
-    comp = np.eye(n) - eb.matrix
-    return clamped_effect(np.eye(n) - _inverse_low_trace(spec, comp, n - s))
+    def low(bm, s):
+        return bm if s <= 0.0 else (s ** (1.0 / (1.0 + spec.alpha)) / s) * bm
 
-
-def _inverse_low_trace(spec: TraceThresholdSpec, bm: np.ndarray, s: float) -> np.ndarray:
-    if s <= 0.0:
-        return bm
-    return (s ** (1.0 / (1.0 + spec.alpha)) / s) * bm
+    return _by_trace(spec, b, low)
 
 
 @dataclass(frozen=True)
@@ -191,10 +188,6 @@ class BlockCounterexampleSpec:
     @property
     def dim(self) -> int:
         return self.contraction.shape[0]
-
-    @property
-    def terms(self) -> int:
-        return len(self.vectors)
 
 
 def random_block_spec(dim: int, seed) -> BlockCounterexampleSpec:
@@ -257,9 +250,7 @@ class GesBijectiveSpec:
     selector: str = "hash"
 
     def __post_init__(self):
-        u = require_unitary(np.array(self.unitary, dtype=complex))
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", _frozen_unitary(self.unitary))
         g = np.array(self.grid, dtype=float).reshape(-1)
         if g.shape[0] != GRID_NODES:
             raise ValueError(f"grid must hold {GRID_NODES} values")
@@ -287,11 +278,9 @@ def random_ges_spec(dim: int, seed) -> GesBijectiveSpec:
     return GesBijectiveSpec(u, grid, int(rng.integers(2 ** 62)))
 
 
-def _pair_bit(spec: GesBijectiveSpec, member: np.ndarray) -> int:
-    """Hash bit deciding which conjugation branch the canonical member takes."""
-    payload = spec.selector_seed.to_bytes(8, "little")
-    payload += np.ascontiguousarray(np.round(member.view(float), 6)).tobytes()
-    return hashlib.sha256(payload).digest()[0] & 1
+def _quantised(m: np.ndarray) -> bytes:
+    """The entries of m rounded to 6 decimals, as bytes."""
+    return np.ascontiguousarray(np.round(m.view(float), 6)).tobytes()
 
 
 def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
@@ -313,12 +302,11 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
     else:
         ta, tp = round(trace(am), 6), round(trace(pm), 6)
         if ta != tp:
-            canonical = am if ta < tp else pm
+            key = _quantised(am if ta < tp else pm)
         else:
-            ba = np.ascontiguousarray(np.round(am.view(float), 6)).tobytes()
-            bp = np.ascontiguousarray(np.round(pm.view(float), 6)).tobytes()
-            canonical = am if ba <= bp else pm
-        flip = bool(_pair_bit(spec, canonical))
+            key = min(_quantised(am), _quantised(pm))
+        payload = spec.selector_seed.to_bytes(8, "little") + key
+        flip = bool(hashlib.sha256(payload).digest()[0] & 1)
     return Effect._owned(_conjugate(pm if flip else am, spec.unitary))
 
 
@@ -327,8 +315,6 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
 
 
 def preserver_spec_document(spec) -> dict:
-    from .matrixio import matrix_document
-
     if isinstance(spec, StandardAutomorphismSpec):
         return {
             "map": "standard",
@@ -382,8 +368,6 @@ def _number(doc: dict, key: str, default: float) -> float:
 
 
 def document_preserver_spec(doc: dict):
-    from .matrixio import FileFormatError, complex_entries, document_matrix
-
     kind = doc.get("map")
     try:
         if kind == "standard":
@@ -412,14 +396,17 @@ def document_preserver_spec(doc: dict):
     raise FileFormatError(f"unknown map kind: {kind!r}")
 
 
+_APPLY = {
+    StandardAutomorphismSpec: apply_standard,
+    TraceThresholdSpec: apply_trace_threshold,
+    BlockCounterexampleSpec: apply_block_counterexample,
+    GesBijectiveSpec: apply_ges_bijective,
+}
+
+
 def preserver_handle(spec):
     """Evaluation closure Effect -> Effect for any map spec record."""
-    if isinstance(spec, StandardAutomorphismSpec):
-        return lambda a: apply_standard(spec, a)
-    if isinstance(spec, TraceThresholdSpec):
-        return lambda a: apply_trace_threshold(spec, a)
-    if isinstance(spec, BlockCounterexampleSpec):
-        return lambda a: apply_block_counterexample(spec, a)
-    if isinstance(spec, GesBijectiveSpec):
-        return lambda a: apply_ges_bijective(spec, a)
-    raise TypeError(f"not a preserver spec: {type(spec).__name__}")
+    apply = _APPLY.get(type(spec))
+    if apply is None:
+        raise TypeError(f"not a preserver spec: {type(spec).__name__}")
+    return partial(apply, spec)

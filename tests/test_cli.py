@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from effectkit import coexistence
+from effectkit import cli, coexistence
 from effectkit.cli import main
 from effectkit.harness import trial_rng
 from effectkit.hermitian import Effect, as_matrix, random_effect, random_projection
@@ -13,6 +13,7 @@ from effectkit.preservers import (
     TraceThresholdSpec,
     preserver_spec_document,
     random_block_spec,
+    random_ges_spec,
     random_standard_spec,
 )
 
@@ -46,6 +47,10 @@ def test_check_not_coexistent_pair(tmp_path, capsys):
     code = main(["check", str(p), str(q)])
     assert code == 1
     assert "NotCoexistent" in capsys.readouterr().out
+    cert = tmp_path / "cert.json"
+    assert main(["check", str(p), str(q), "--cert", str(cert)]) == 1
+    assert capsys.readouterr().err == "no witness available; certificate not written\n"
+    assert not cert.exists()
 
 
 def test_check_writes_certificate(effects, tmp_path, capsys):
@@ -176,6 +181,18 @@ def test_reconstruct_rejects_block_map(tmp_path, capsys):
     assert code == 64
 
 
+def test_reconstruct_fails_on_a_ges_map(tmp_path, capsys):
+    # A GES map is not a standard automorphism: no fit, and no unitary written.
+    spec_path = tmp_path / "ges.spec"
+    out_path = tmp_path / "u.mat"
+    write_document(spec_path, preserver_spec_document(random_ges_spec(3, seed=1)))
+    assert main(["reconstruct", "--map-spec", str(spec_path), "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("reconstruction failed: ")
+    assert not out_path.exists()
+
+
 def test_harness_subcommand(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = main(["--seed", "3", "harness", "--dims", "2", "--trials", "4",
@@ -243,6 +260,11 @@ def test_non_effect_matrix_exits_66(tmp_path, capsys):
     write_matrix(path, np.diag([2.0, 0.0]).astype(complex))
     code = main(["check", str(path), str(path)])
     assert code == 66
+    # A kind other than "effect" is refused, not read as an unchecked matrix.
+    write_document(path, {"dim": 2, "kind": "Effect",
+                          "entries": [[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]})
+    assert main(["check", str(path), str(path)]) == 66
+    assert "field 'kind'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_64(effects, tmp_path, capsys):
@@ -250,6 +272,7 @@ def test_usage_errors_exit_64(effects, tmp_path, capsys):
     assert main(["bogus"]) == 64
     assert main(["check", "only-one-arg"]) == 64
     assert main(["harness", "--dims", "1,2"]) == 64
+    assert main(["harness", "--dims", "2,x"]) == 64
     assert main(["harness", "--suites", "nope"]) == 64
     pa, pb = (str(path) for path in effects)
     for flags in (["--max-cycles", "0"], ["--max-cycles", "-1"]):
@@ -289,6 +312,16 @@ def test_reconstruct_takes_the_spec_dimension(tmp_path, capsys):
     assert main(["reconstruct", "--map-spec", str(spec_path), "--dim", "3"]) == 64
     assert "Traceback" not in capsys.readouterr().err
     assert main(["reconstruct", "--map-spec", str(spec_path)]) == 0
+
+
+def test_internal_error_exits_70(effects, capsys, monkeypatch):
+    def broken(a, b):
+        raise RuntimeError("broken decide")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    assert main(["check", *map(str, effects)]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: broken decide" in err
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from effectkit import harness
+from effectkit.cli import main
 from effectkit.coexistence import Verdict, decide
 from effectkit.harness import (
     RULE_FAMILIES,
@@ -15,8 +19,8 @@ from effectkit.harness import (
     run_suite,
     trial_rng,
 )
-from effectkit.hermitian import as_matrix
-from effectkit.matrixio import loads_document, write_document
+from effectkit.hermitian import Effect, as_matrix
+from effectkit.matrixio import document_matrix, loads_document, write_document
 
 
 def test_trial_rng_is_deterministic_and_mixed():
@@ -74,6 +78,32 @@ def test_run_suite_counts_are_consistent():
     assert section["max_residual"] >= 0.0
     assert section["wall_time_s"] >= 0.0
     assert section["failures"] == []
+
+
+def test_failed_trials_are_counted_and_reported(monkeypatch, capsys):
+    # Every third decision reads Indeterminate and every other one is
+    # inverted, so each oracle cross-check trial is indeterminate or fails.
+    calls = []
+
+    def wrong(a, b, **kwargs):
+        res = decide(a, b, **kwargs)
+        calls.append(res)
+        if len(calls) % 3 == 0:
+            return dataclasses.replace(res, verdict=Verdict.INDETERMINATE)
+        flipped = Verdict.NOT_COEXISTENT if res.coexistent else Verdict.COEXISTENT
+        return dataclasses.replace(res, verdict=flipped)
+
+    monkeypatch.setattr(harness, "decide", wrong)
+    section = run_suite("oracle_crosscheck", HarnessConfig(dims=(2,), trials_per_suite=9))
+    assert all(res.definite for res in calls)
+    assert (section["passed"], section["failed"], section["indeterminate"]) == (0, 6, 3)
+    assert [f["trial"] for f in section["failures"]] == [0, 1, 3]
+    for exemplar in section["failures"]:
+        assert "solver says" in exemplar["detail"]
+        inputs = [document_matrix(doc) for doc in exemplar["inputs"].values()]
+        assert len(inputs) == 2 and all(isinstance(e, Effect) and e.dim == 2 for e in inputs)
+    assert main(["harness", "--dims", "2", "--trials", "3", "--suites", "oracle_crosscheck"]) == 1
+    assert "totals: 0 passed, 2 failed, 1 indeterminate" in capsys.readouterr().out
 
 
 def test_run_all_report_shape():

@@ -432,6 +432,19 @@ def test_direct_sum_single_and_empty():
         direct_sum([])
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.ones((2, 1)), r"expected a square matrix, got shape \(2, 1\)"),
+    (np.ones(2), r"expected a square matrix, got shape \(2,\)"),
+    (np.zeros((0, 0)), "empty matrix"),
+], ids=["column", "vector", "empty"])
+def test_blocks_and_effects_must_be_nonempty_square_matrices(bad, message):
+    # direct_sum used to broadcast a column or a vector into a square block.
+    with pytest.raises(ValueError, match=message):
+        Effect(bad)
+    with pytest.raises(ValueError, match=message):
+        direct_sum([np.eye(2), bad])
+
+
 def test_conjugate_identity_and_spectrum():
     a = random_effect(3, seed=21)
     same = conjugate(a, np.eye(3, dtype=complex))

@@ -4,6 +4,7 @@ import pytest
 from effectkit.hermitian import Effect, SpectrumOutOfRange, as_matrix, random_effect
 from effectkit.matrixio import (
     FileFormatError,
+    complex_entries,
     document_matrix,
     dumps_document,
     format_float,
@@ -78,6 +79,10 @@ def test_document_matrix_validates_shape():
         document_matrix({"entries": [[0.0, 0.0]]})
     with pytest.raises(FileFormatError):
         document_matrix({"dim": 1, "entries": [[0.0]]})
+    with pytest.raises(FileFormatError, match="matrix document must be an object"):
+        document_matrix([[1.0, 0.0]])
+    with pytest.raises(FileFormatError, match="entries must be a list"):
+        complex_entries("1, 0")
 
 
 def test_document_matrix_rejects_non_finite(tmp_path):
@@ -97,6 +102,12 @@ def test_document_matrix_effect_kind_revalidates():
            "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
     with pytest.raises((FileFormatError, SpectrumOutOfRange)):
         document_matrix(doc)
+    # Any other kind is refused, not read as a plain matrix unchecked.
+    for kind in ("Effect", "matrix", 1):
+        doc = {"dim": 2, "kind": kind,
+               "entries": [[5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]}
+        with pytest.raises(FileFormatError, match="field 'kind'"):
+            document_matrix(doc)
 
 
 def test_read_rejects_malformed_text(tmp_path):

@@ -9,7 +9,9 @@ from effectkit.hermitian import (
     conjugate,
     orthocomplement,
     random_effect,
+    random_projection,
     random_unitary,
+    trace,
 )
 from effectkit.matrixio import FileFormatError
 from effectkit.preservers import (
@@ -222,13 +224,21 @@ def test_block_spec_validation():
         )
     # NaN fails every range test, so each test must be written to fail closed.
     for vector, diagonal in (([2.0, 0.0], [1.0, 1.0]), ([np.nan, 0.0], [0.5, 0.5]),
-                             ([1.0, 0.0], [np.nan, 0.5])):
+                             ([1.0, 0.0], [np.nan, 0.5]), ([1.0, 0.0, 0.0], [1.0, 1.0]),
+                             ([1.0, 0.0], [1.0, 1.0, 1.0])):
         with pytest.raises(ValueError):
             BlockCounterexampleSpec(
                 contraction=np.eye(2, dtype=complex),
                 vectors=(np.array(vector, dtype=complex),),
                 diagonals=(np.array(diagonal),),
             )
+    x, g = np.array([1.0, 0.0], dtype=complex), np.ones(2)
+    for contraction, vectors, diagonals, message in (
+            (np.eye(2, 3, dtype=complex), (x,), (g,), "contraction must be square"),
+            (np.eye(2, dtype=complex), (), (), "equally many vectors and diagonals"),
+            (np.eye(2, dtype=complex), (x, x), (g,), "equally many vectors and diagonals")):
+        with pytest.raises(ValueError, match=message):
+            BlockCounterexampleSpec(contraction, vectors, diagonals)
 
 
 def test_ges_first_selector_with_identity_grid_is_conjugation():
@@ -281,6 +291,8 @@ def test_ges_preserves_verdicts():
 def test_ges_spec_validation():
     with pytest.raises(ValueError):
         GesBijectiveSpec(np.eye(2, dtype=complex), grid=np.zeros(1025))
+    with pytest.raises(ValueError, match="grid must hold 1025 values"):
+        GesBijectiveSpec(np.eye(2, dtype=complex), grid=np.linspace(0.0, 1.0, 1024))
     nan_node = np.linspace(0.0, 1.0, 1025)
     nan_node[3] = np.nan
     with pytest.raises(ValueError):
@@ -322,10 +334,11 @@ def _spoiled(maker, spoil):
     {"map": "trace-threshold", "dim": 3, "alpha": True},
     {"map": "trace-threshold", "dim": 3, "alpha": "2"},
     {"map": "trace-threshold", "dim": 3, "alpha": 10 ** 400},
+    {"map": "rotation", "dim": 3},
 ], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
         "ges-huge-seed", "standard-string-transpose", "standard-integer-perp",
         "trace-float-dim", "trace-string-dim", "trace-bool-alpha", "trace-string-alpha",
-        "trace-huge-alpha"])
+        "trace-huge-alpha", "unknown-map-kind"])
 def test_spec_documents_fail_closed(doc):
     with pytest.raises(FileFormatError):
         document_preserver_spec(doc)
@@ -354,6 +367,14 @@ def test_spec_document_round_trip(maker):
     handle_b = preserver_handle(back)
     a = random_effect(3, seed=23)
     assert np.allclose(as_matrix(handle_a(a)), as_matrix(handle_b(a)), atol=1e-15)
+
+
+@pytest.mark.parametrize("not_a_spec", [np.eye(3), {"map": "standard"}],
+                         ids=["array", "document"])
+def test_spec_functions_refuse_what_is_not_a_spec(not_a_spec):
+    for entry in (preserver_handle, preserver_spec_document):
+        with pytest.raises(TypeError, match="not a preserver spec"):
+            entry(not_a_spec)
 
 
 @pytest.mark.parametrize("make, apply", [
@@ -394,14 +415,21 @@ def test_ges_images_are_the_checked_conjugations_bit_for_bit(selector):
     base = random_ges_spec(4, seed=53)
     spec = GesBijectiveSpec(base.unitary, base.grid, base.selector_seed, selector)
     routes = set()
-    for s in range(20):
-        a = random_effect(4, seed=1400 + s)
+    # A rank-2 projection and I minus it have equal traces: the pair is
+    # routed by the tie-break on its quantised bytes.
+    ties = [random_projection(4, 2, seed=1420 + s) for s in range(4)]
+    ties += [orthocomplement(p) for p in ties]
+    assert all(trace(p) == pytest.approx(2.0, abs=1e-12) for p in ties)
+    for a in [random_effect(4, seed=1400 + s) for s in range(20)] + ties:
         straight = as_matrix(conjugate(a, spec.unitary)).tobytes()
         crossed = as_matrix(conjugate(Effect.trusted(np.eye(4) - as_matrix(a)),
                                       spec.unitary)).tobytes()
         image = as_matrix(apply_ges_bijective(spec, a)).tobytes()
         assert image in (straight, crossed)
         routes.add(image == straight)
+    for p, q in zip(ties[:4], ties[4:]):
+        pair = as_matrix(apply_ges_bijective(spec, p)) + as_matrix(apply_ges_bijective(spec, q))
+        assert np.allclose(pair, np.eye(4), atol=1e-12)
     assert routes == ({True, False} if selector == "hash" else {True})
 
 

@@ -210,7 +210,8 @@ def test_phase_fit_failure_on_rerouted_superposition():
      "map(I) is 0.77 from 0 and 0.962 from I", 2),
     (lambda: preserver_handle(random_ges_spec(5, seed=3)), 5, InconsistentMap,
      "map(0) is 0.258 from 0 and 1.98 from I", 1),
-], ids=["shrink", "collapse", "tamper", "ges0", "ges1", "ges3"])
+    (lambda: identity_map, 1, ValueError, "need dimension at least 2", 0),
+], ids=["shrink", "collapse", "tamper", "ges0", "ges1", "ges3", "dim1"])
 def test_failing_maps_raise_as_before(make, dim, error, message, queries):
     handle, calls = make(), []
 

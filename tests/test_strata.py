@@ -109,6 +109,8 @@ def test_freedom_dimension_symmetry_and_errors():
     assert freedom_dimension(6, 2, 3) == freedom_dimension(6, 3, 2)
     with pytest.raises(ValueError):
         freedom_dimension(3, 2, 2)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        freedom_dimension(0, 0, 0)
 
 
 def test_is_scalar():

@@ -65,6 +65,10 @@ The ``harness`` section runs the property-test campaign in each checkout,
 and prints the sha256 of each report's ``report_signature`` (the report
 without its wall times) and ``bytes: same`` or ``bytes: differ``.
 
+It also prints each checkout's ``src/`` line count: the newlines in
+``src/effectkit/*.py``, as ``wc -l`` counts them.  The count is for
+information only.
+
 The exit status is 1 if a definite verdict flipped or became
 Indeterminate, a certificate failed, or the ``checks`` or ``harness``
 bytes differ, and 0 otherwise.
@@ -345,6 +349,12 @@ def emit() -> dict:
     return out
 
 
+def _src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/effectkit/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "effectkit").glob("*.py"))
+
+
 def _run_child(checkout: Path):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, __file__, "--emit"],
@@ -381,7 +391,8 @@ def main(argv=None) -> int:
     if args.base is None:
         parser.error("BASE is required")
 
-    children = [_run_child(path.resolve()) for path in (args.base, args.change)]
+    checkouts = [path.resolve() for path in (args.base, args.change)]
+    children = [_run_child(path) for path in checkouts]
     results = []
     for child in children:
         stdout, _ = child.communicate()
@@ -429,6 +440,8 @@ def main(argv=None) -> int:
           f"({base['harness']}, {change['harness']})")
     print(f"  bytes: {'same' if same else 'differ'}")
     failed |= not same
+    lines = [_src_lines(path) for path in checkouts]
+    print(f"src/ lines (base, change): ({lines[0]}, {lines[1]})")
     return 1 if failed else 0
 
 
