@@ -588,9 +588,8 @@ def _padded(z: np.ndarray, index: int, blocks) -> np.ndarray:
 # Certificates
 
 
-def _check_psd(names, stack: np.ndarray, tol: float):
-    """Check each matrix of the stack is PSD at tol; the first that fails, in
-    order, raises.
+def _check_psd(names, stack: np.ndarray):
+    """Check each matrix of the stack is PSD at CERT_TOL; the first to fail raises.
 
     A non-finite matrix fails with margin NaN.  The finite ones before it go
     through one stacked _eigvalsh_lo of their Hermitian parts, formed as
@@ -602,23 +601,26 @@ def _check_psd(names, stack: np.ndarray, tol: float):
     herm = stack[:checked]
     lows = _eigvalsh_lo(herm / 2.0 + herm.conj().swapaxes(1, 2) / 2.0)[:, 0].tolist()
     for name, lo in zip(names, lows):
-        if not lo >= -tol:
+        if not lo >= -CERT_TOL:
             raise InvalidCertificate(f"{name} >= 0", -lo)
     if checked < len(stack):
         raise InvalidCertificate(f"{names[checked]} >= 0", math.nan)
 
 
-def _check_close(name: str, x: np.ndarray, y: np.ndarray, tol: float):
+def _check_close(name: str, x: np.ndarray, y: np.ndarray):
     dev = _frobenius(x - y)
-    if not dev <= tol:
+    if not dev <= CERT_TOL:
         raise InvalidCertificate(name, dev)
 
 
-def _check_shapes(names, parts):
-    """A certificate's parts as arrays, after checking each has A's shape.
+def _check_parts(names, parts):
+    """A certificate's parts as arrays, after checking each has A's shape
+    and that A and B are Hermitian.
 
     A must be square.  A part of another shape fails the certificate with
-    margin NaN before any arithmetic, so numpy never broadcasts it.
+    margin NaN before any arithmetic, so numpy never broadcasts it.  A or B
+    fails with its entrywise deviation from Hermitian if that exceeds
+    HERMITICITY_TOL (NaN if not finite); an Effect is Hermitian as built.
     """
     mats = [as_matrix(x) for x in parts]
     shape = mats[0].shape
@@ -627,60 +629,58 @@ def _check_shapes(names, parts):
     for name, x in zip(names[1:], mats[1:]):
         if x.shape != shape:
             raise InvalidCertificate(f"shape of {name} = {shape}", math.nan)
+    for name, part, x in zip(names[:2], parts, mats):
+        if not isinstance(part, Effect):
+            with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail
+                dev = float(np.abs(x - x.conj().T).max())
+            if not dev <= HERMITICITY_TOL:
+                raise InvalidCertificate(f"{name} Hermitian", dev)
     return mats
 
 
-def _cert_tol(tol: float):
-    """A witness check's tol may tighten CERT_TOL, not loosen it: 1e300 passes anything."""
-    if require_tolerance(tol) > CERT_TOL:
-        raise ValueError(f"tol must be at most CERT_TOL = {CERT_TOL:g}, got {tol!r}")
-
-
-def _check_mn(a, b, m, n, tol: float):
-    _cert_tol(tol)
-    am, bm, mm, nm = _check_shapes("ABMN", (a, b, m, n))
+def _check_mn(a, b, m, n):
+    am, bm, mm, nm = _check_parts("ABMN", (a, b, m, n))
     slacks = np.empty((4, *am.shape), dtype=complex)
     slacks[0], slacks[1] = mm, nm
     np.subtract(am, mm, out=slacks[2])
     np.subtract(_identity(am.shape[0]), am, out=slacks[3])
     slacks[3] -= nm
-    _check_psd(("M", "N", "A - M", "(I - A) - N"), slacks, tol)
-    _check_close("M + N = B", np.add(mm, nm, out=slacks[0]), bm, tol)
+    _check_psd(("M", "N", "A - M", "(I - A) - N"), slacks)
+    _check_close("M + N = B", np.add(mm, nm, out=slacks[0]), bm)
     return am, bm, mm, nm
 
 
-def _check_efg(a, b, e, f, g, tol: float):
-    _cert_tol(tol)
-    am, bm, em, fm, gm = _check_shapes("ABEFG", (a, b, e, f, g))
+def _check_efg(a, b, e, f, g):
+    am, bm, em, fm, gm = _check_parts("ABEFG", (a, b, e, f, g))
     slacks = np.empty((4, *am.shape), dtype=complex)
     slacks[0], slacks[1], slacks[2] = em, fm, gm
     np.subtract(_identity(am.shape[0]), em, out=slacks[3])
     slacks[3] -= fm
     slacks[3] -= gm
-    _check_psd(("E", "F", "G", "I - (E + F + G)"), slacks, tol)
-    _check_close("E + G = A", np.add(em, gm, out=slacks[0]), am, tol)
-    _check_close("F + G = B", np.add(fm, gm, out=slacks[1]), bm, tol)
+    _check_psd(("E", "F", "G", "I - (E + F + G)"), slacks)
+    _check_close("E + G = A", np.add(em, gm, out=slacks[0]), am)
+    _check_close("F + G = B", np.add(fm, gm, out=slacks[1]), bm)
     return am, bm, em, fm, gm
 
 
-def mn_to_efg(m, n, a, b, tol: float = CERT_TOL):
+def mn_to_efg(m, n, a, b):
     """Convert a split certificate (M, N) into a triple (E, F, G).
 
     The triple satisfies A = E + G, B = F + G with E + F + G an effect;
     concretely (E, F, G) = (A - M, N, M).  Raises InvalidCertificate if the
-    input fails its constraints at tol <= CERT_TOL.  Returns plain Hermitian
-    arrays so that the round-trip with efg_to_mn is exact to machine precision.
+    input fails its constraints at CERT_TOL.  Returns plain Hermitian arrays
+    so that the round-trip with efg_to_mn is exact to machine precision.
     """
-    am, bm, mm, nm = _check_mn(a, b, m, n, tol)
+    am, bm, mm, nm = _check_mn(a, b, m, n)
     return am - mm, nm, mm
 
 
-def efg_to_mn(e, f, g, a, b, tol: float = CERT_TOL):
+def efg_to_mn(e, f, g, a, b):
     """Convert a triple certificate (E, F, G) into the split form (M, N).
 
-    Inverse of mn_to_efg: returns (G, F); tol is at most CERT_TOL.
+    Inverse of mn_to_efg: returns (G, F), after checking (E, F, G) at CERT_TOL.
     """
-    _, _, _, fm, gm = _check_efg(a, b, e, f, g, tol)
+    _, _, _, fm, gm = _check_efg(a, b, e, f, g)
     return gm, fm
 
 
@@ -697,12 +697,12 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
     penalties) / sum_i tr Z_i < -tol.  For PSD Z_i this is the weak-duality
     bound t* <= value / sum_i tr Z_i.  The penalty does not grow with n, so
     a dual padded with zero blocks keeps its bound.  A and B must be
-    Hermitian to HERMITICITY_TOL; the Z_i are read as their Hermitian
+    Hermitian (see _check_parts); the Z_i are read as their Hermitian
     parts.  Non-finite or wrongly shaped input fails with margin NaN, and
     so does a failed LAPACK call.
     """
     require_tolerance(tol)
-    am, bm, *zs = _check_shapes(("A", "B", "Z2", "Z3", "Z4"), (a, b, z2, z3, z4))
+    am, bm, *zs = _check_parts(("A", "B", "Z2", "Z3", "Z4"), (a, b, z2, z3, z4))
     mats = np.empty((6, *am.shape), dtype=complex)  # A, B, Z1, Z2, Z3, Z4
     mats[0], mats[1], mats[2] = am, bm, 0.0
     mats[3], mats[4], mats[5] = zs
@@ -714,10 +714,6 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
         raise InvalidCertificate("Z_i not all zero", 0.0)
     mats[3:] /= scale
     herm = mats / 2.0 + mats.conj().swapaxes(1, 2) / 2.0
-    for name, x in zip("AB", mats):
-        dev = float(np.abs(x - x.conj().T).max())
-        if not dev <= HERMITICITY_TOL:
-            raise InvalidCertificate(f"{name} Hermitian", dev)
     am, bm, z1, z2, z3, z4 = herm
     np.add(z2, z3, out=z1)
     z1 -= z4
@@ -736,10 +732,10 @@ def _check_dual(a, b, z2, z3, z4, tol: float):
         raise InvalidCertificate(f"dual bound < -{tol:g}", bound + tol)
 
 
-def _passes(check, *args, tol: float) -> bool:
-    """Whether check(*args, tol) raises no InvalidCertificate; a bad tol raises."""
+def _passes(check, *args) -> bool:
+    """Whether check(*args) raises no InvalidCertificate."""
     try:
-        check(*args, tol)
+        check(*args)
     except InvalidCertificate:
         return False
     return True
@@ -752,17 +748,17 @@ def verify_dual(a, b, z2, z3, z4, tol: float = CERT_TOL) -> bool:
     -tol, so any tol >= 0 is sound.  Fails closed: NaN, infinite or wrongly
     shaped parts, non-Hermitian A or B, and duals of coexistent pairs give False.
     """
-    return _passes(_check_dual, a, b, z2, z3, z4, tol=tol)
+    return _passes(_check_dual, a, b, z2, z3, z4, tol)
 
 
-def verify_mn(a, b, m, n, tol: float = CERT_TOL) -> bool:
-    """Whether (M, N) certifies coexistence of (A, B) at tolerance tol <= CERT_TOL."""
-    return _passes(_check_mn, a, b, m, n, tol=tol)
+def verify_mn(a, b, m, n) -> bool:
+    """Whether (M, N) certifies coexistence of (A, B) at CERT_TOL; fails closed."""
+    return _passes(_check_mn, a, b, m, n)
 
 
-def verify_efg(a, b, e, f, g, tol: float = CERT_TOL) -> bool:
-    """Whether (E, F, G) certifies coexistence of (A, B) at tolerance tol <= CERT_TOL."""
-    return _passes(_check_efg, a, b, e, f, g, tol=tol)
+def verify_efg(a, b, e, f, g) -> bool:
+    """Whether (E, F, G) certifies coexistence of (A, B) at CERT_TOL; fails closed."""
+    return _passes(_check_efg, a, b, e, f, g)
 
 
 # ---------------------------------------------------------------------------

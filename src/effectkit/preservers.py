@@ -42,14 +42,28 @@ def _frozen_unitary(u) -> np.ndarray:
     return u
 
 
+def _real_vector(values, name: str) -> np.ndarray:
+    """A float copy of a flat sequence of real numbers, for a spec to keep.
+
+    np.array would read "0.5" and True as numbers, so the dtype of an array
+    and each element of anything else must be a real number, not a bool.
+    """
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind not in (None, "i", "u", "f") or kind is None and not all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in values):
+        raise ValueError(f"{name} must hold real numbers, not strings or bools")
+    return np.array(values, dtype=float).reshape(-1)
+
+
 @dataclass(frozen=True)
 class StandardAutomorphismSpec:
     """A -> U A U* (transposing A first when antiunitary), then optional perp.
 
-    The unitary is validated once, here: the spec keeps a read-only copy of
-    it, so the caller's array stays writable and later changes to it cannot
-    reach the spec.  apply_standard trusts that copy and does not check it
-    again.
+    The unitary and the flags (Python or numpy bools) are validated once,
+    here: the spec keeps a read-only copy of the unitary, so the caller's
+    array stays writable and later changes to it cannot reach the spec.
+    apply_standard trusts that copy and does not check it again.
     """
 
     unitary: np.ndarray
@@ -58,6 +72,10 @@ class StandardAutomorphismSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "unitary", _frozen_unitary(self.unitary))
+        for name in ("transpose", "perp"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -89,20 +107,25 @@ def random_standard_spec(dim: int, seed, transpose: bool | None = None,
 class TraceThresholdSpec:
     """Scale-by-f(trace) map below trace 1, identity in the middle band.
 
-    f(t) = t**alpha with alpha >= 0, so f(1) = 1 and f is monotone with
-    f(t) > 0 for t > 0; both properties are also checked on a grid of step
-    1e-3 at construction.  Above trace dim-1 the map acts through the
-    complement, which keeps it compatible with orthocomplementation.
+    dim is an integer >= 2 and alpha a real number >= 0 (not bools; numpy
+    scalars pass), kept as int and float.  f(t) = t**alpha, so f(1) = 1 and
+    f is monotone with f(t) > 0 for t > 0; both properties are also checked
+    on a grid of step 1e-3 at construction.  Above trace dim-1 the map acts
+    through the complement, which keeps it compatible with orthocomplementation.
     """
 
     dim: int
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
-        if not self.alpha >= 0.0:
-            raise ValueError("alpha must be nonnegative")
+        dim, alpha = self.dim, self.alpha
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
+            raise ValueError(f"dim must be an integer at least 2, got {dim!r}")
+        real = (int, float, np.integer, np.floating)
+        if isinstance(alpha, bool) or not isinstance(alpha, real) or not float(alpha) >= 0.0:
+            raise ValueError(f"alpha must be a nonnegative real number, got {alpha!r}")
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "alpha", float(alpha))
         grid = np.linspace(1e-3, 1.0, 1000)
         vals = grid ** self.alpha
         if np.any(vals <= 0.0) or np.any(np.diff(vals) < 0.0):
@@ -173,7 +196,7 @@ class BlockCounterexampleSpec:
             vecs.append(v)
         diags = []
         for d in self.diagonals:
-            g = np.asarray(d, dtype=float).reshape(-1)
+            g = _real_vector(d, "diagonal")
             if g.shape[0] != n:
                 raise ValueError("diagonal length must match dimension")
             if not np.all((g >= 0.0) & (g <= 1.0)):
@@ -251,7 +274,7 @@ class GesBijectiveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "unitary", _frozen_unitary(self.unitary))
-        g = np.array(self.grid, dtype=float).reshape(-1)
+        g = _real_vector(self.grid, "grid")
         if g.shape[0] != GRID_NODES:
             raise ValueError(f"grid must hold {GRID_NODES} values")
         if not np.all((g >= 0.0) & (g <= 1.0)) or len(np.unique(g)) != GRID_NODES:
@@ -343,53 +366,28 @@ def preserver_spec_document(spec) -> dict:
     raise TypeError(f"not a preserver spec: {type(spec).__name__}")
 
 
-def _flag(doc: dict, key: str) -> bool:
-    """A boolean field of a spec document: JSON true or false, default false."""
-    value = doc.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _integer(doc: dict, key: str) -> int:
-    """A required integer field of a spec document: a JSON integer, not a bool."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(doc: dict, key: str, default: float) -> float:
-    """A numeric field of a spec document: a JSON number, not a bool or a string."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
 def document_preserver_spec(doc: dict):
     kind = doc.get("map")
     try:
         if kind == "standard":
             return StandardAutomorphismSpec(
                 document_matrix(doc["unitary"]),
-                _flag(doc, "transpose"),
-                _flag(doc, "perp"),
+                doc.get("transpose", False),
+                doc.get("perp", False),
             )
         if kind == "trace-threshold":
-            return TraceThresholdSpec(_integer(doc, "dim"), _number(doc, "alpha", 1.0))
+            return TraceThresholdSpec(doc["dim"], doc.get("alpha", 1.0))
         if kind == "block-cx":
             vectors = tuple(complex_entries(v) for v in doc["vectors"])
-            diagonals = tuple(np.array(d, dtype=float) for d in doc["diagonals"])
             return BlockCounterexampleSpec(
-                document_matrix(doc["contraction"]), vectors, diagonals
+                document_matrix(doc["contraction"]), vectors, doc["diagonals"]
             )
         if kind == "ges":
             return GesBijectiveSpec(
                 document_matrix(doc["unitary"]),
-                np.array(doc["grid"], dtype=float),
+                doc["grid"],
                 doc.get("selector_seed", 0),
-                str(doc.get("selector", "hash")),
+                doc.get("selector", "hash"),
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad preserver spec: {exc}") from exc

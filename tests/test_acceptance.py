@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from effectkit.coexistence import (
+    CERT_TOL,
     Verdict,
     decide,
     decide_blockwise,
@@ -116,6 +117,7 @@ def test_criterion_02_solver_cross_check():
 
 
 def test_criterion_03_certificate_round_trip():
+    assert CERT_TOL == 1e-6  # the witness checks' tolerance
     worst_gap = 0.0
     produced = 0
     index = 0
@@ -128,10 +130,10 @@ def test_criterion_03_certificate_round_trip():
         if res.verdict != Verdict.COEXISTENT:
             continue
         m, n = res.witness
-        assert verify_mn(a, b, m, n, 1e-6)
-        e, f, g = mn_to_efg(m, n, a, b, 1e-6)
-        assert verify_efg(a, b, e, f, g, 1e-6)
-        m2, n2 = efg_to_mn(e, f, g, a, b, 1e-6)
+        assert verify_mn(a, b, m, n)
+        e, f, g = mn_to_efg(m, n, a, b)
+        assert verify_efg(a, b, e, f, g)
+        m2, n2 = efg_to_mn(e, f, g, a, b)
         gap = max(np.linalg.norm(m2 - as_matrix(m)), np.linalg.norm(n2 - as_matrix(n)))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-12

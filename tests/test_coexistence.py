@@ -681,6 +681,27 @@ def test_verifiers_fail_closed_on_non_finite_witnesses():
                 efg_to_mn(w, w, w, a, b)
 
 
+def test_witness_checks_refuse_a_non_hermitian_pair():
+    # On the Hermitian parts of its matrices each certificate below meets
+    # every constraint, so only the Hermitian test of A or B refuses it, as
+    # verify_dual refuses the same A.
+    skew = np.array([[0.5, 0.3], [-0.3, 0.5]])
+    half, quarter = 0.5 * np.eye(2), 0.25 * np.eye(2)
+    for a, b, m, n, name in ((skew, half, quarter, quarter, "A"),
+                             (half, skew, skew / 2.0, skew / 2.0, "B")):
+        assert not verify_mn(a, b, m, n)
+        assert not verify_efg(a, b, a - m, n, m)
+        for convert, args in ((mn_to_efg, (m, n, a, b)), (efg_to_mn, (a - m, n, m, a, b))):
+            with pytest.raises(InvalidCertificate) as err:
+                convert(*args)
+            assert err.value.constraint == f"{name} Hermitian"
+            assert err.value.margin == pytest.approx(0.6)
+    inf = np.diag([np.inf, 0.5])
+    assert not verify_mn(inf, half, quarter, quarter)
+    with pytest.raises(InvalidCertificate, match="A Hermitian by nan"):
+        mn_to_efg(quarter, quarter, inf, half)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_verifiers_fail_closed_on_huge_finite_witnesses():
     # Finite entries near the float limit overflow X + X* and I - A - N;
@@ -886,6 +907,24 @@ def test_decide_blockwise_mismatch():
         decide_blockwise([random_effect(2, seed=0)], [])
     with pytest.raises(ValueError):
         decide_blockwise([random_effect(2, seed=0)], [random_effect(3, seed=0)])
+    with pytest.raises(ValueError, match="need at least one block"):
+        decide_blockwise([], [])
+
+
+def test_decide_blockwise_indeterminate_block():
+    # (A, cB) with c about 5e-5 past the coexistence threshold: its margin
+    # lies between -SEP_TOL and -FEAS_TOL, so decide leaves it Indeterminate.
+    # The block (A, B) after it, Coexistent in 4 Newton steps, is still decided.
+    rng = np.random.default_rng(0)
+    a, b = random_effect(2, seed=rng), random_effect(2, seed=rng)
+    blocks = [(a, Effect(1.13939 * b.matrix)), (a, b)]
+    parts = [decide(x, y) for x, y in blocks]
+    assert [p.verdict for p in parts] == [Verdict.INDETERMINATE, Verdict.COEXISTENT]
+    res = decide_blockwise(*zip(*blocks))
+    assert (res.verdict, res.reason) == (Verdict.INDETERMINATE, Reason.BLOCKWISE)
+    assert res.residual == max(p.residual for p in parts)
+    assert res.iterations == sum(p.iterations for p in parts) > parts[0].iterations
+    assert res.witness is None and res.dual is None
 
 
 def test_sample_coexistent_endpoint_cases():

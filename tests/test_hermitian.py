@@ -208,6 +208,13 @@ def test_effect_matrix_is_read_only():
     e = random_effect(3, seed=0)
     with pytest.raises(ValueError):
         e.matrix[0, 0] = 9.0
+    # As an array an Effect is its read-only matrix; a cast or a copy is new.
+    assert np.asarray(e) is e.matrix
+    for x in (np.asarray(e, dtype=np.complex64), np.array(e, copy=True)):
+        assert x.flags.writeable and not np.shares_memory(x, e.matrix)
+        assert np.allclose(x, e.matrix, atol=1e-7)
+    assert np.asarray(e, dtype=np.complex64).dtype == np.complex64
+    assert repr(Effect(np.diag([0.25, 0.5]))) == "Effect(dim=2, trace=0.75)"
 
 
 def _same_bytes(x, y):

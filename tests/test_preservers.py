@@ -69,6 +69,12 @@ def test_standard_preserves_verdicts():
 def test_standard_spec_rejects_nonunitary():
     with pytest.raises(ValueError):
         StandardAutomorphismSpec(np.diag([2.0, 1.0]).astype(complex))
+    # The flags must be bools: the string "no" is truthy and would transpose.
+    for flags in (("no", False), (False, 1), (None, False)):
+        with pytest.raises(ValueError, match="must be a bool"):
+            StandardAutomorphismSpec(np.eye(2), *flags)
+    spec = StandardAutomorphismSpec(np.eye(2), np.bool_(True), np.False_)
+    assert (spec.transpose, spec.perp) == (True, False) and type(spec.transpose) is bool
 
 
 def test_trace_threshold_branch_agreement_at_one():
@@ -165,10 +171,15 @@ def test_trace_threshold_inverse_round_trip():
 
 
 def test_trace_threshold_spec_validation():
-    with pytest.raises(ValueError):
-        TraceThresholdSpec(dim=1, alpha=1.0)
-    with pytest.raises(ValueError):
-        TraceThresholdSpec(dim=3, alpha=-1.0)
+    for dim, alpha in ((1, 1.0), (3, -1.0), (2.5, 1.0), (True, 1.0), (3, "2"), (3, True),
+                       (3, 1j), (3, float("nan"))):
+        with pytest.raises(ValueError):
+            TraceThresholdSpec(dim, alpha)
+    # Integers and numpy scalars pass, kept as int and float.
+    for dim, alpha in ((3, 2), (np.int64(3), np.float64(2.0)), (3, np.int32(2))):
+        spec = TraceThresholdSpec(dim, alpha)
+        assert spec == TraceThresholdSpec(3, 2.0)
+        assert type(spec.dim) is int and type(spec.alpha) is float
 
 
 def test_block_counterexample_zero_maps_to_zero():
@@ -239,6 +250,13 @@ def test_block_spec_validation():
             (np.eye(2, dtype=complex), (x, x), (g,), "equally many vectors and diagonals")):
         with pytest.raises(ValueError, match=message):
             BlockCounterexampleSpec(contraction, vectors, diagonals)
+    # np.array(..., dtype=float) would read "0.5" and True as numbers.
+    for diagonal in ([True, "0.5"], [0.5, True], ["0.5", 1.0], np.array([True, False]),
+                     np.array(["0.5", "1"])):
+        with pytest.raises(ValueError, match="diagonal must hold real numbers"):
+            BlockCounterexampleSpec(np.eye(2, dtype=complex), (x,), (diagonal,))
+    spec = BlockCounterexampleSpec(np.eye(2, dtype=complex), (x,), ([np.float32(0.5), 1],))
+    assert spec.diagonals[0].dtype == float and spec.diagonals[0].tolist() == [0.5, 1.0]
 
 
 def test_ges_first_selector_with_identity_grid_is_conjugation():
@@ -303,6 +321,12 @@ def test_ges_spec_validation():
     for seed in (-1, 2 ** 64, 2 ** 70, 1.0, True):
         with pytest.raises(ValueError):
             GesBijectiveSpec(np.eye(2, dtype=complex), selector_seed=seed)
+    nodes = np.linspace(0.0, 1.0, 1025)
+    for grid in ([str(v) for v in nodes], [True, *nodes[1:]], nodes.astype(str),
+                 nodes.astype(object)):
+        with pytest.raises(ValueError, match="grid must hold real numbers"):
+            GesBijectiveSpec(np.eye(2, dtype=complex), grid=grid)
+    assert np.array_equal(GesBijectiveSpec(np.eye(2), grid=list(nodes)).grid, nodes)
     spec = GesBijectiveSpec(np.eye(2, dtype=complex), selector_seed=np.uint64(2 ** 64 - 1))
     assert spec.selector_seed == 2 ** 64 - 1 and type(spec.selector_seed) is int
     apply_ges_bijective(spec, random_effect(2, seed=3))
@@ -329,6 +353,10 @@ def _spoiled(maker, spoil):
              lambda d: d.__setitem__("transpose", "no")),
     _spoiled(lambda: random_standard_spec(2, seed=20),
              lambda d: d.__setitem__("perp", 1)),
+    _spoiled(lambda: random_block_spec(2, seed=21),
+             lambda d: d["diagonals"].__setitem__(0, ["0.5", True])),
+    _spoiled(lambda: random_ges_spec(2, seed=22),
+             lambda d: d["grid"].__setitem__(7, str(d["grid"][7]))),
     {"map": "trace-threshold", "dim": 3.9, "alpha": 1.0},
     {"map": "trace-threshold", "dim": "3", "alpha": 1.0},
     {"map": "trace-threshold", "dim": 3, "alpha": True},
@@ -337,6 +365,7 @@ def _spoiled(maker, spoil):
     {"map": "rotation", "dim": 3},
 ], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
         "ges-huge-seed", "standard-string-transpose", "standard-integer-perp",
+        "block-string-diagonal", "ges-string-grid",
         "trace-float-dim", "trace-string-dim", "trace-bool-alpha", "trace-string-alpha",
         "trace-huge-alpha", "unknown-map-kind"])
 def test_spec_documents_fail_closed(doc):

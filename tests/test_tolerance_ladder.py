@@ -12,8 +12,11 @@ within 1e-2 of their coexistence threshold, probe the solver at the
 feasibility tolerance: its verdicts stay certified and consistent.
 """
 
+import importlib
 import inspect
 import math
+import pkgutil
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -311,12 +314,18 @@ def _rank_one_pair():
 _SEVENS = np.full((2, 2), 7.0)
 # These use a fixed rung and take no tolerance: whatever tol a caller
 # passes is refused.  Effect and as_effect are given a spectrum far outside
-# [0, 1], which a NaN or infinite tol once clamped onto diag(1, 0).
+# [0, 1], which a NaN or infinite tol once clamped onto diag(1, 0).  The
+# witness checks are given a constant 7 for every part: an infinite tol
+# once accepted it as a certificate of any pair.
 _FIXED_RUNG = {
     "Effect": lambda a, b, tol: Effect(np.diag([5.0, -3.0]), tol=tol),
     "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol=tol),
     "canonical_form": lambda a, b, tol: canonical_form(a, tol=tol),
     "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol=tol),
+    "verify_mn": lambda a, b, tol: verify_mn(a, b, _SEVENS, _SEVENS, tol=tol),
+    "verify_efg": lambda a, b, tol: verify_efg(a, b, _SEVENS, _SEVENS, _SEVENS, tol=tol),
+    "mn_to_efg": lambda a, b, tol: mn_to_efg(_SEVENS, _SEVENS, a, b, tol=tol),
+    "efg_to_mn": lambda a, b, tol: efg_to_mn(_SEVENS, _SEVENS, _SEVENS, a, b, tol=tol),
 }
 _TOL_TAKERS = {
     "classify": lambda a, b, tol: classify(a, tol),
@@ -324,12 +333,6 @@ _TOL_TAKERS = {
     "is_projection": lambda a, b, tol: is_projection(a, tol),
     "reconstruct": lambda a, b, tol: reconstruct(
         preserver_handle(random_standard_spec(2, seed=31)), 2, tol=tol),
-    # The certificate checks are given a constant 7 for every part: an
-    # infinite tol used to accept it as a certificate of any pair.
-    "verify_mn": lambda a, b, tol: verify_mn(a, b, _SEVENS, _SEVENS, tol),
-    "verify_efg": lambda a, b, tol: verify_efg(a, b, _SEVENS, _SEVENS, _SEVENS, tol),
-    "mn_to_efg": lambda a, b, tol: mn_to_efg(_SEVENS, _SEVENS, a, b, tol),
-    "efg_to_mn": lambda a, b, tol: efg_to_mn(_SEVENS, _SEVENS, _SEVENS, a, b, tol),
 }
 
 
@@ -349,14 +352,20 @@ def test_public_functions_reject_a_bad_tolerance(name, tol):
 @pytest.mark.parametrize("tol", [1e300, 1.0])
 def test_certificate_checks_cannot_be_loosened(name, tol):
     # A tol above CERT_TOL would let verify_mn and verify_efg accept the
-    # constant 7 parts as a certificate; a smaller tol is only stricter.
+    # constant 7 parts as a certificate.  The witness checks take no tol,
+    # not even as a trailing positional argument; they check at CERT_TOL.
     a, b = _rank_one_pair()
-    with pytest.raises(ValueError, match="tol must be at most CERT_TOL"):
-        _TOL_TAKERS[name](a, b, tol)
+    calls = {"verify_mn": (verify_mn, (a, b, _SEVENS, _SEVENS)),
+             "verify_efg": (verify_efg, (a, b, _SEVENS, _SEVENS, _SEVENS)),
+             "mn_to_efg": (mn_to_efg, (_SEVENS, _SEVENS, a, b)),
+             "efg_to_mn": (efg_to_mn, (_SEVENS, _SEVENS, _SEVENS, a, b))}
+    check, args = calls[name]
+    with pytest.raises(TypeError):
+        check(*args, tol)
     m, n = decide(a, b).witness
-    e, f, g = mn_to_efg(m, n, a, b, CERT_TOL)
-    assert verify_mn(a, b, m, n, 1e-12) and verify_efg(a, b, e, f, g, CERT_TOL)
-    assert np.array_equal(efg_to_mn(e, f, g, a, b, 1e-12)[1], n.matrix)
+    e, f, g = mn_to_efg(m, n, a, b)
+    assert verify_mn(a, b, m, n) and verify_efg(a, b, e, f, g)
+    assert np.array_equal(efg_to_mn(e, f, g, a, b)[1], n.matrix)
 
 
 def test_good_tolerances_pass_and_inf_stays_internal():
@@ -374,13 +383,27 @@ def test_good_tolerances_pass_and_inf_stays_internal():
 
 
 def test_fixed_settings_have_no_parameter_or_flag():
-    # The Newton-step budget and these functions' tolerances have one value
-    # in use each, so they are module constants, not arguments or options.
-    fixed = (Effect, as_effect, require_hermitian, require_unitary,
-             loewner_leq, canonical_form, decide, decide_blockwise)
-    for fn in fixed:
-        params = inspect.signature(fn).parameters
-        assert not {"tol", "cfg"} & set(params), fn.__name__
+    # Every settable tolerance and path switch of the public functions and
+    # classes, read from their signatures.  The CLI's --tol, which feeds
+    # classify and reconstruct, is the seventh settable value.  The
+    # Newton-step budget and every other tolerance have one value in use
+    # each, so they are module constants, not arguments or options.
+    knobs = set()
+    for info in pkgutil.iter_modules(effectkit.__path__):
+        module = importlib.import_module(f"effectkit.{info.name}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+                    and (inspect.isfunction(obj) or inspect.isclass(obj)
+                         and not issubclass(obj, (BaseException, Enum)))):
+                params = inspect.signature(obj).parameters
+                knobs |= {(name, p) for p in ("tol", "fast_paths") if p in params}
+    assert knobs == {("classify", "tol"), ("is_scalar", "tol"), ("is_projection", "tol"),
+                     ("reconstruct", "tol"), ("verify_dual", "tol"), ("decide", "fast_paths")}
+    # run_suite and run_all take a HarnessConfig named cfg, so the cfg check
+    # names its functions.
+    for fn in (Effect, as_effect, require_hermitian, require_unitary,
+               loewner_leq, canonical_form, decide, decide_blockwise):
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
     # Parameters that no caller set are gone too.
     assert list(inspect.signature(require_tolerance).parameters) == ["value"]
     for fn in (random_block_spec, random_ges_spec):

@@ -51,7 +51,9 @@ constraint fails in turn.  A witness (M, N) goes through ``verify_mn`` and
 ``mn_to_efg``, and its triple (E, F, G) = (A - M, N, M) through
 ``verify_efg`` and ``efg_to_mn``; its variants shift M by +-2 CERT_TOL I,
 move N off B (and E off A), put NaN in one entry of M or cut M to the
-wrong shape.  A
+wrong shape.  These pass A and B as raw arrays; the witness as decided
+also goes through all four with A and B as the Effects ``decide`` was
+given.  A
 dual (Z2, Z3, Z4) goes through ``verify_dual`` and, for the margin,
 ``_check_dual``; its variants shift Z2 by +-2 CERT_TOL I, put NaN in one
 entry, cut Z2 to the wrong shape, zero, negate or swap Z2 and Z3, and make
@@ -261,24 +263,32 @@ def _outcome(check, *args) -> list:
     return [hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest()]
 
 
-def _witness_checks(co, am, bm, mm, nm) -> list:
-    """verify_mn, mn_to_efg, verify_efg and efg_to_mn on (M, N) and its variants."""
+def _witness_checks(co, a, b, mm, nm) -> list:
+    """verify_mn, mn_to_efg, verify_efg and efg_to_mn on (M, N) and its variants.
+
+    A and B are the Effects decide was given.  Every variant passes their
+    matrices as raw arrays; the as-decided one runs a second time with the
+    Effects themselves.
+    """
     import numpy as np
 
+    am, bm = a.matrix, b.matrix
     n = am.shape[0]
     shift = 2.0 * co.CERT_TOL * np.eye(n)
     off = np.zeros((n, n))
     off[0, -1] = off[-1, 0] = 2.0 * co.CERT_TOL
     nan = mm.copy()
     nan[0, 0] = np.nan
-    variants = [(mm, nm, 0.0), (mm + shift, nm, 0.0), (mm - shift, nm, 0.0),
-                (mm, nm + off, off), (nan, nm, 0.0), (mm[:-1, :-1], nm, 0.0)]
+    variants = [(am, bm, mm, nm, 0.0), (am, bm, mm + shift, nm, 0.0),
+                (am, bm, mm - shift, nm, 0.0), (am, bm, mm, nm + off, off),
+                (am, bm, nan, nm, 0.0), (am, bm, mm[:-1, :-1], nm, 0.0),
+                (a, b, mm, nm, 0.0)]
     out = []
-    for m, n_, e_off in variants:
+    for x, y, m, n_, e_off in variants:
         e = (am - m if m.shape == am.shape else am - mm) + e_off
-        out += [_outcome(co.verify_mn, am, bm, m, n_), _outcome(co.mn_to_efg, m, n_, am, bm),
-                _outcome(co.verify_efg, am, bm, e, n_, m),
-                _outcome(co.efg_to_mn, e, n_, m, am, bm)]
+        out += [_outcome(co.verify_mn, x, y, m, n_), _outcome(co.mn_to_efg, m, n_, x, y),
+                _outcome(co.verify_efg, x, y, e, n_, m),
+                _outcome(co.efg_to_mn, e, n_, m, x, y)]
     return out
 
 
@@ -334,8 +344,7 @@ def emit() -> dict:
             prints.append(_fingerprint(res, dual))
             outcomes = []
             if res.witness is not None:
-                outcomes += _witness_checks(co, a.matrix, b.matrix,
-                                            *(e.matrix for e in res.witness))
+                outcomes += _witness_checks(co, a, b, *(e.matrix for e in res.witness))
             if dual is not None:
                 outcomes += _dual_checks(co, a.matrix, b.matrix, *dual)
             if outcomes:
