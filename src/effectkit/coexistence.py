@@ -57,7 +57,7 @@ from .hermitian import (
 # SEP_TOL.  A margin t* certified to lie between -SEP_TOL and -FEAS_TOL is
 # reported as Indeterminate rather than rounded to a verdict.  MAX_STEPS is
 # the Newton-step budget, read by _barrier at each call: the acceptance
-# streams (dims 2-5) take at most 12 steps, and rank-one pairs whose sum
+# streams (dims 2-5) take at most 11 steps, and rank-one pairs whose sum
 # peaks within 1e-7 to 1e-2 of 1 at most 27; at dim 8 the counts were 13
 # and 26.
 FEAS_TOL = 1e-7
@@ -105,11 +105,14 @@ class Reason(str, Enum):
 class CoexistenceVerdict:
     """How decide settled a pair.
 
-    ``iterations`` counts the solver's Newton steps (0 for the exact rules
-    and for a corner candidate).  ``dual`` is the solver's certificate (Z2,
-    Z3, Z4) for verify_dual, normalised so that the traces of Z1 = Z2 + Z3 -
-    Z4, Z2, Z3 and Z4 sum to 1; it is None unless the solver proved the pair
-    (or, in decide_blockwise, one block pair) NotCoexistent.
+    ``iterations`` counts the solver's Newton steps taken before the Newton
+    system its certificate was read from (0 for the exact rules and for a
+    corner candidate).  ``dual`` is the solver's certificate (Z2, Z3, Z4)
+    for verify_dual, normalised so that the traces of Z1 = Z2 + Z3 - Z4,
+    Z2, Z3 and Z4 sum to 1; it is None unless the solver proved the pair
+    (or, in decide_blockwise, one block pair) NotCoexistent.  The Z_i may
+    be indefinite: verify_dual charges for their negative parts, and the
+    bound it verifies, penalty included, is below -SEP_TOL.
     """
 
     verdict: Verdict
@@ -372,8 +375,12 @@ def _barrier(am, bm, base, start):
     S_1 + tI is formed only where it or its residual is returned.  The same
     G_i give the Newton-corrected dual Z_i = W_i - W_i dS_i W_i = U_i (I -
     G_i) U_i*: it meets the dual's equality constraints up to the Newton
-    solve's rounding, and it is PSD when every mu is at most 1, in which
-    case its value bounds t* from above.
+    solve's rounding, and it is PSD only when every mu is at most 1.  Each
+    step returns at its first certificate: M at the line search's first
+    trial, confirmed by its residual once that trial's t is >= 0, or the
+    dual, tested on every step by verify_dual at SEP_TOL, whose penalty for
+    negative parts keeps an indefinite dual's bound sound.  The
+    Indeterminate exit needs a PSD dual, so every mu at most 1.
 
     Returns (verdict, M or None, residual, Newton steps, dual or None).
     Runs under _lapack_checked, through _solve; a numerically singular
@@ -442,24 +449,31 @@ def _barrier(am, bm, base, start):
         mu = _eigvalsh_lo(g)
         mu_low, mu_high = mu.min(), mu.max()
 
-        if mu_high <= 1.0:
-            z = wi[1:] - u[1:] @ g[1:] @ uh[1:]  # Z2, Z3, Z4, all PSD
-            norm = 2.0 * z[:2].trace(axis1=1, axis2=2).real.sum()
-            value = np.vdot(z, base[1:]).real / norm  # base[1:] = A, B, -K
-            if value <= -SEP_TOL:
-                dual = z / norm
-                dual.flags.writeable = False
-                if verify_dual(am, bm, *dual):
-                    return end(Verdict.NOT_COEXISTENT, tuple(dual))
-            elif lower > -SEP_TOL and value < -FEAS_TOL:
-                # t* lies between -SEP_TOL and -FEAS_TOL: neither certificate
-                # can exist at these tolerances.
-                return end(Verdict.INDETERMINATE)
+        # The line search's first trial, just inside the boundary where
+        # 1 + a mu = 0; a witness there ends the solve one eigh early.
+        step = min(1.0, _BOUNDARY / -mu_low) if mu_low < 0.0 else 1.0
+        if t + step * dt >= 0.0:
+            m = slacks[0] + t * eye + step * dm
+            r = _residual(m, base)
+            if r < FEAS_TOL:
+                return Verdict.COEXISTENT, m, r, steps, None
+
+        z = wi[1:] - u[1:] @ g[1:] @ uh[1:]  # Z2, Z3, Z4
+        norm = 2.0 * z[:2].trace(axis1=1, axis2=2).real.sum()
+        value = np.vdot(z, base[1:]).real / norm  # base[1:] = A, B, -K
+        if value <= -SEP_TOL:
+            dual = z / norm
+            dual.flags.writeable = False
+            if verify_dual(am, bm, *dual, tol=SEP_TOL):
+                return end(Verdict.NOT_COEXISTENT, tuple(dual))
+        elif mu_high <= 1.0 and lower > -SEP_TOL and value < -FEAS_TOL:
+            # t* lies between -SEP_TOL and -FEAS_TOL: neither certificate
+            # can exist at these tolerances.
+            return end(Verdict.INDETERMINATE)
         if steps >= MAX_STEPS:
             return end(Verdict.INDETERMINATE)
 
-        # Backtracking from just inside the boundary, where 1 + a mu = 0.
-        step = min(1.0, _BOUNDARY / -mu_low) if mu_low < 0.0 else 1.0
+        # Backtracking from the first trial.
         while s * step * dt + np.log1p(step * mu).sum() < _ARMIJO * step * decrement_sq:
             step *= _BACKTRACK
             if step < _MIN_STEP:
@@ -498,9 +512,9 @@ def decide(a, b, *, fast_paths: bool = True) -> CoexistenceVerdict:
     A Newton step solves a dense real system of size n^2 + 1: O(n^6) time
     and O(n^4) memory, measured at about 0.3 ms for n = 8, the harness's
     largest dimension, and 70 ms with 43 MB of arrays for n = 32.  Pairs
-    that reach the barrier take a median of 2 to 4 and at most 12 steps on
-    the acceptance streams (13 at dim 8), and up to 27 on rank-one pairs
-    whose margin lies within 1e-2 of 0, so dimensions up to about 32 are
+    that reach the barrier take a median of 2 and at most 11 steps on the
+    acceptance streams (13 at dim 8), and up to 27 on rank-one pairs whose
+    margin lies within 1e-2 of 0, so dimensions up to about 32 are
     practical.
 
     The solver's iteration path depends on argument order, so the pair is

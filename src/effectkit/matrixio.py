@@ -5,6 +5,8 @@ scientific notation with 17 significant digits, so values round-trip exactly
 and identical data produces identical bytes.  A matrix document has fields
 ``dim`` and ``entries`` (row-major list of [re, im] pairs); an effect also has
 ``"kind": "effect"``, the only kind accepted, and is re-validated on load.
+Readers fail closed: a repeated key, an unknown key or a missing required
+key is a FileFormatError, never read last-wins or ignored.
 """
 
 from __future__ import annotations
@@ -68,10 +70,21 @@ def dumps_document(doc: dict) -> str:
     return _encode(doc, "") + "\n"
 
 
+def _unique_keys(pairs) -> dict:
+    """An object's (key, value) pairs as a dict; a repeated key is refused."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FileFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads_document(text) -> dict:
-    """The document held in JSON text: a str, or bytes in UTF-8."""
+    """The document held in JSON text (a str, or bytes in UTF-8); no object
+    in it may repeat a key."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -123,14 +136,26 @@ def complex_entries(entries) -> np.ndarray:
     return flat
 
 
+def check_keys(doc, what: str, required, optional=()) -> None:
+    """Check that doc is an object holding every required key and no key
+    outside required and optional; the error names each missing or
+    unknown key."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{what} must be an object")
+    problems = ([f"missing key {k!r}" for k in required if k not in doc]
+                + [f"unknown key {k!r}" for k in doc
+                   if k not in required and k not in optional])
+    if problems:
+        raise FileFormatError(f"{what}: {', '.join(problems)}")
+
+
 def document_matrix(doc: dict):
     """Matrix held in a document: an Effect if marked, else a plain array."""
-    if not isinstance(doc, dict):
-        raise FileFormatError("matrix document must be an object")
-    dim = doc.get("dim")
+    check_keys(doc, "matrix document", ("dim", "entries"), ("kind",))
+    dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError("field 'dim' must be a positive integer")
-    entries = doc.get("entries")
+    entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise FileFormatError(f"field 'entries' must hold {dim * dim} pairs")
     m = complex_entries(entries).reshape(dim, dim)

@@ -29,7 +29,13 @@ from .hermitian import (
     _identity,
     _rng,
 )
-from .matrixio import FileFormatError, complex_entries, document_matrix, matrix_document
+from .matrixio import (
+    FileFormatError,
+    check_keys,
+    complex_entries,
+    document_matrix,
+    matrix_document,
+)
 from .strata import is_scalar
 
 GRID_NODES = 1025  # value table of g on {k/1024 : k = 0..1024}
@@ -366,8 +372,21 @@ def preserver_spec_document(spec) -> dict:
     raise TypeError(f"not a preserver spec: {type(spec).__name__}")
 
 
+# The keys of each kind of spec document, (required, optional); "map" names
+# the kind.
+_SPEC_KEYS = {
+    "standard": (("map", "unitary"), ("transpose", "perp")),
+    "trace-threshold": (("map", "dim"), ("alpha",)),
+    "block-cx": (("map", "contraction", "vectors", "diagonals"), ()),
+    "ges": (("map", "unitary", "grid"), ("selector_seed", "selector")),
+}
+
+
 def document_preserver_spec(doc: dict):
     kind = doc.get("map")
+    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+        raise FileFormatError(f"unknown map kind: {kind!r}")
+    check_keys(doc, f"{kind} spec document", *_SPEC_KEYS[kind])
     try:
         if kind == "standard":
             return StandardAutomorphismSpec(
@@ -389,9 +408,8 @@ def document_preserver_spec(doc: dict):
                 doc.get("selector_seed", 0),
                 doc.get("selector", "hash"),
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad preserver spec: {exc}") from exc
-    raise FileFormatError(f"unknown map kind: {kind!r}")
 
 
 _APPLY = {

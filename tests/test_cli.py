@@ -8,7 +8,14 @@ from effectkit import cli, coexistence
 from effectkit.cli import main
 from effectkit.harness import trial_rng
 from effectkit.hermitian import Effect, as_matrix, random_effect, random_projection
-from effectkit.matrixio import loads_document, read_document, read_matrix, write_document, write_matrix
+from effectkit.matrixio import (
+    document_matrix,
+    loads_document,
+    read_document,
+    read_matrix,
+    write_document,
+    write_matrix,
+)
 from effectkit.preservers import (
     TraceThresholdSpec,
     preserver_spec_document,
@@ -60,14 +67,13 @@ def test_check_writes_certificate(effects, tmp_path, capsys):
     assert code == 0
     doc = read_document(cert)
     assert sorted(doc) == ["a", "b", "e", "f", "g", "m", "n"]
-    m = read_matrix_from_doc(doc["m"])
-    assert m.shape == (3, 3)
+    # Every part reads back through the strict matrix reader.
+    parts = {key: read_matrix_from_doc(part) for key, part in doc.items()}
+    assert all(m.shape == (3, 3) for m in parts.values())
 
 
 def read_matrix_from_doc(doc):
-    from effectkit.matrixio import document_matrix
-    out = document_matrix(doc)
-    return as_matrix(out)
+    return as_matrix(document_matrix(doc))
 
 
 def test_stratify_projection(tmp_path, capsys):
@@ -141,6 +147,7 @@ def test_apply_without_out_prints_document(tmp_path, effects, capsys):
     assert code == 0
     doc = loads_document(capsys.readouterr().out)
     assert doc["dim"] == 3
+    assert isinstance(document_matrix(doc), Effect)
 
 
 def test_reconstruct_standard_spec(tmp_path, capsys):

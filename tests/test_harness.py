@@ -20,7 +20,7 @@ from effectkit.harness import (
     trial_rng,
 )
 from effectkit.hermitian import Effect, as_matrix
-from effectkit.matrixio import document_matrix, loads_document, write_document
+from effectkit.matrixio import document_matrix, dumps_document, loads_document, write_document
 
 
 def test_trial_rng_is_deterministic_and_mixed():
@@ -100,7 +100,8 @@ def test_failed_trials_are_counted_and_reported(monkeypatch, capsys):
     assert [f["trial"] for f in section["failures"]] == [0, 1, 3]
     for exemplar in section["failures"]:
         assert "solver says" in exemplar["detail"]
-        inputs = [document_matrix(doc) for doc in exemplar["inputs"].values()]
+        stored = loads_document(dumps_document(exemplar["inputs"]))
+        inputs = [document_matrix(doc) for doc in stored.values()]
         assert len(inputs) == 2 and all(isinstance(e, Effect) and e.dim == 2 for e in inputs)
     assert main(["harness", "--dims", "2", "--trials", "3", "--suites", "oracle_crosscheck"]) == 1
     assert "totals: 0 passed, 2 failed, 1 indeterminate" in capsys.readouterr().out

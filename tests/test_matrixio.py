@@ -110,6 +110,28 @@ def test_document_matrix_effect_kind_revalidates():
             document_matrix(doc)
 
 
+def test_documents_fail_closed_on_their_keys(tmp_path):
+    good = matrix_document(random_effect(2, seed=3))
+    # A matrix document holds exactly dim, entries and an optional kind;
+    # the error names every key that is unknown or missing.
+    with pytest.raises(FileFormatError, match="unknown key 'note'"):
+        document_matrix({**good, "note": "scaled"})
+    wrong = {"dim": 2, "entry": good["entries"], "kind": "effect", "scale": 1.0}
+    with pytest.raises(FileFormatError, match="missing key 'entries', unknown key "
+                                              "'entry', unknown key 'scale'"):
+        document_matrix(wrong)
+    # A repeated key is refused at any depth, not read last-wins.
+    for text in ('{"dim": 2, "dim": 3}', '{"m": {"dim": 1, "entries": [], "dim": 1}}'):
+        with pytest.raises(FileFormatError, match="duplicate key 'dim'"):
+            loads_document(text)
+    path = tmp_path / "twice.mat"
+    path.write_text('{"dim": 1, "entries": [[0.5, 0.0]], "entries": [[2.0, 0.0]]}')
+    with pytest.raises(FileFormatError, match="duplicate key 'entries'"):
+        read_matrix(path)
+    back = document_matrix(loads_document(dumps_document(good)))
+    assert np.array_equal(as_matrix(back), as_matrix(random_effect(2, seed=3)))
+
+
 def test_read_rejects_malformed_text(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("not a document")

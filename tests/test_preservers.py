@@ -363,14 +363,41 @@ def _spoiled(maker, spoil):
     {"map": "trace-threshold", "dim": 3, "alpha": "2"},
     {"map": "trace-threshold", "dim": 3, "alpha": 10 ** 400},
     {"map": "rotation", "dim": 3},
+    {"map": ["standard"], "dim": 3},
+    _spoiled(lambda: random_standard_spec(2, seed=20),
+             lambda d: d.update(transpos=d.pop("transpose"), prep=d.pop("perp"))),
+    _spoiled(lambda: random_standard_spec(2, seed=20),
+             lambda d: d["unitary"].__setitem__("scale", 2.0)),
+    {"map": "trace-threshold", "dim": 3, "alpha": 1.0, "beta": 0.5},
+    {"map": "trace-threshold", "alpha": 1.0},
+    _spoiled(lambda: random_block_spec(2, seed=21), lambda d: d.__setitem__("terms", 2)),
+    _spoiled(lambda: random_block_spec(2, seed=21), lambda d: d.pop("diagonals")),
+    _spoiled(lambda: random_ges_spec(2, seed=22),
+             lambda d: d.__setitem__("selecter", d.pop("selector"))),
+    _spoiled(lambda: random_ges_spec(2, seed=22), lambda d: d.pop("grid")),
 ], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
         "ges-huge-seed", "standard-string-transpose", "standard-integer-perp",
         "block-string-diagonal", "ges-string-grid",
         "trace-float-dim", "trace-string-dim", "trace-bool-alpha", "trace-string-alpha",
-        "trace-huge-alpha", "unknown-map-kind"])
+        "trace-huge-alpha", "unknown-map-kind", "list-map-kind", "standard-misspelt-flags",
+        "standard-unitary-extra-key", "trace-extra-key", "trace-missing-dim",
+        "block-extra-key", "block-missing-diagonals", "ges-misspelt-selector",
+        "ges-missing-grid"])
 def test_spec_documents_fail_closed(doc):
     with pytest.raises(FileFormatError):
         document_preserver_spec(doc)
+
+
+def test_spec_document_errors_name_each_key():
+    # Misspelt flags once loaded as a plain conjugation, with no error.
+    doc = preserver_spec_document(random_standard_spec(2, seed=20))
+    doc["transpos"], doc["prep"] = doc.pop("transpose"), doc.pop("perp")
+    with pytest.raises(FileFormatError, match="standard spec document: unknown key "
+                                              "'transpos', unknown key 'prep'"):
+        document_preserver_spec(doc)
+    with pytest.raises(FileFormatError, match="ges spec document: missing key 'unitary', "
+                                              "missing key 'grid', unknown key 'seed'"):
+        document_preserver_spec({"map": "ges", "seed": 1})
 
 
 def test_trace_threshold_document_takes_json_numbers():

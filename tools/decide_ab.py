@@ -23,14 +23,15 @@ the runs.  Per checkout the script prints, over those minima, the median,
 the mean of the decisions that took 0 Newton steps and the mean of those
 that took at least one (``symmetry``: the mean of all), the 95th
 percentile and the total, and the ratio change / base of each.  It also
-checks that both checkouts return the same answer per operation: on
-``generic`` and ``rules`` the verdict, reason, residual (``float.hex``),
-Newton steps and witness and dual bytes, and on ``rules`` whether
+checks that both checkouts return the same verdict per operation: on
+``generic`` and ``rules`` the verdict and reason, and on ``rules`` whether
 ``verify_mn`` accepts the witness and ``mn_to_efg`` converts it; on
 ``symmetry`` the flags, unitary bytes, gap (``float.hex``), query count
-and strata.
+and strata.  Of ``generic`` and ``rules`` it counts the operations whose
+answers differ beyond that, in residual (``float.hex``), Newton steps or
+witness or dual bytes, as a solver change may make them.
 
-It is informational and exits 0, or 1 if that check fails.  Run-to-run
+It is informational and exits 0, or 1 if the verdict check fails.  Run-to-run
 noise on a small shared host can exceed 30% between benchmark processes;
 minima over interleaved runs in one process resolve changes of a few
 percent.
@@ -111,8 +112,16 @@ def _time(op, xs, best, results):
         results[i] = res
 
 
-def _signature(workload: str, out) -> tuple:
+def _verdict(workload: str, out) -> tuple:
     """What both checkouts must return alike for one operation."""
+    if workload == "symmetry":
+        return _signature(workload, out)
+    res, certified = out
+    return res.verdict.value, res.reason.value, certified
+
+
+def _signature(workload: str, out) -> tuple:
+    """One operation's answer, bytes included."""
     if workload == "symmetry":
         fit = out.fit
         return (fit.antiunitary, fit.perp, fit.unitary.tobytes(),
@@ -170,12 +179,14 @@ def main(argv=None) -> int:
                 for side in ((0, 1) if run % 2 == 0 else (1, 0)):
                     _time(ops[side], xs[side], best[side], results[side])
             base, change = (_stats(b, r, workload) for b, r in zip(best, results))
-            if ([_signature(workload, r) for r in results[0]]
-                    != [_signature(workload, r) for r in results[1]]):
-                print(f"{workload} seed {seed}: the checkouts' answers differ",
+            if ([_verdict(workload, r) for r in results[0]]
+                    != [_verdict(workload, r) for r in results[1]]):
+                print(f"{workload} seed {seed}: the checkouts' verdicts differ",
                       file=sys.stderr)
                 return 1
-            kind = "answers equal"
+            differ = sum(_signature(workload, x) != _signature(workload, y)
+                         for x, y in zip(*results))
+            kind = f"verdicts equal, {differ} answers differ in bytes" if differ else "answers equal"
             if workload != "symmetry":
                 kind += f", {sum(r.iterations == 0 for r, _ in results[0])} of them 0-step"
             print(f"{workload} seed {seed}: {len(xs[0])} operations, {kind}; "

@@ -32,7 +32,11 @@ hashes every decision's verdict, reason, residual (``float.hex``), Newton
 steps, witness bytes and dual bytes, and the script prints ``bytes: same``
 or ``bytes: differ`` for the stream, and the same comparison over the
 decisions BASE settles in 0 Newton steps (exact rules and corner
-candidates); these lines are informational.
+candidates); these lines are informational.  So are the strength lines
+of a stream with duals: per checkout, the weakest and the median
+verified dual bound on the margin t* (``_check_dual``'s bound, the largest
+being the weakest), and how many duals have a Z_i, Z1 = Z2 + Z3 - Z4
+included, with an eigenvalue below -CERT_TOL.
 
 The ``maps`` section fits ``reconstruct`` in each checkout to criterion 9's
 standard automorphisms (dims 2-6, 4 flag combinations, 50 specs each) and
@@ -313,6 +317,29 @@ def _dual_checks(co, am, bm, z2, z3, z4) -> list:
     return out
 
 
+def _dual_strength(co, a, b, dual) -> tuple[float, bool]:
+    """A dual's verified bound on t*, and whether a Z_i has an eigenvalue below -CERT_TOL.
+
+    The bound is the checkout's own: at tol 1 ``_check_dual`` fails for any
+    pair of effects, whose margin t* is at least -1 (that of M = 0), and
+    reports bound + 1 as its margin.
+    """
+    import numpy as np
+
+    try:
+        co._check_dual(a, b, *dual, 1.0)
+    except co.InvalidCertificate as exc:
+        if not exc.constraint.startswith("dual bound"):
+            raise
+        bound = exc.margin - 1.0
+    else:
+        raise AssertionError("a dual bound below -1")
+    z2, z3, z4 = dual
+    zs = np.stack([z2 + z3 - z4, z2, z3, z4])
+    lowest = np.linalg.eigvalsh((zs + zs.conj().swapaxes(1, 2)) / 2.0)[:, 0].min()
+    return bound, bool(lowest < -co.CERT_TOL)
+
+
 def _harness_signature() -> str:
     """sha256 of the report signature of one seeded harness campaign."""
     from effectkit.harness import HarnessConfig, report_signature, run_all
@@ -330,6 +357,7 @@ def emit() -> dict:
     checks, constraints = [], Counter()
     for stream in STREAMS:
         verdicts, steps, prints, bad, worst = [], [], [], 0, 0.0
+        bounds, indefinite = [], 0
         for a, b, fast in _pairs(stream):
             res = co.decide(a, b, fast_paths=fast)
             verdicts.append(res.verdict.value)
@@ -339,8 +367,11 @@ def emit() -> dict:
             if res.witness is not None and not co.verify_mn(a, b, *res.witness):
                 bad += 1
             dual = getattr(res, "dual", None)
-            if dual is not None and not verify_dual(a, b, *dual):
-                bad += 1
+            if dual is not None:
+                bad += not verify_dual(a, b, *dual)
+                bound, below = _dual_strength(co, a, b, dual)
+                bounds.append(bound)
+                indefinite += below
             prints.append(_fingerprint(res, dual))
             outcomes = []
             if res.witness is not None:
@@ -351,7 +382,8 @@ def emit() -> dict:
                 checks.append(hashlib.sha256(repr(outcomes).encode()).hexdigest())
                 constraints.update(x[1] for x in outcomes if len(x) == 3)
         out[stream] = {"verdicts": verdicts, "steps": steps, "bad_certificates": bad,
-                       "max_witness_residual": worst, "fingerprints": prints}
+                       "max_witness_residual": worst, "fingerprints": prints,
+                       "dual_bounds": bounds, "indefinite_duals": indefinite}
     out["maps"] = _map_fits()
     out["checks"] = {"fingerprints": checks, "constraints": dict(constraints)}
     out["harness"] = _harness_signature()
@@ -386,6 +418,15 @@ def _steps(steps) -> str:
         return "total 0"
     return (f"total {sum(taken)}, median {statistics.median(taken):g} "
             f"and max {taken[-1]} over {len(taken)}")
+
+
+def _strength(result) -> str:
+    bounds = result["dual_bounds"]
+    if not bounds:
+        return "0 duals"
+    return (f"{len(bounds)} duals, weakest bound {max(bounds):.3g}, median "
+            f"{statistics.median(bounds):.3g}, {result['indefinite_duals']} with an "
+            f"eigenvalue below -CERT_TOL")
 
 
 def main(argv=None) -> int:
@@ -428,6 +469,9 @@ def main(argv=None) -> int:
         same_settled = all(old == new for old, new in settled)
         print(f"  bytes: {'same' if same else 'differ'}; over the {len(settled)} "
               f"decisions base settles in 0 steps: {'same' if same_settled else 'differ'}")
+        if base[stream]["dual_bounds"] or change[stream]["dual_bounds"]:
+            print(f"  duals: base {_strength(base[stream])}; "
+                  f"change {_strength(change[stream])}")
         print(table)
         failed |= worse or bad[1] > 0
     maps = base["maps"], change["maps"]
