@@ -32,7 +32,12 @@ from .matrixio import (
     write_document,
     write_matrix,
 )
-from .preservers import BlockCounterexampleSpec, document_preserver_spec, preserver_handle
+from .preservers import (
+    MAP_KINDS,
+    BlockCounterexampleSpec,
+    document_preserver_spec,
+    preserver_handle,
+)
 from .reconstruction import FIT_TOL, reconstruct, verify_reconstruction
 from .strata import classify, freedom_dimension
 
@@ -215,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stratify)
 
     p = sub.add_parser("apply", help="apply a preserver map to an effect")
-    p.add_argument("--map", required=True,
-                   choices=("standard", "trace-threshold", "block-cx", "ges"))
+    p.add_argument("--map", required=True, choices=MAP_KINDS)
     p.add_argument("--spec", required=True, help="map spec document")
     p.add_argument("a", help="matrix file for the input effect")
     p.add_argument("--out", metavar="PATH", help="write the image here")

@@ -631,12 +631,16 @@ def _check_parts(names, parts):
     """A certificate's parts as arrays, after checking each has A's shape
     and that A and B are Hermitian.
 
+    A part that does not hold numbers (see as_matrix) fails with margin NaN.
     A must be square.  A part of another shape fails the certificate with
     margin NaN before any arithmetic, so numpy never broadcasts it.  A or B
     fails with its entrywise deviation from Hermitian if that exceeds
     HERMITICITY_TOL (NaN if not finite); an Effect is Hermitian as built.
     """
-    mats = [as_matrix(x) for x in parts]
+    try:
+        mats = [as_matrix(x) for x in parts]
+    except ValueError:
+        raise InvalidCertificate("numeric entries", math.nan) from None
     shape = mats[0].shape
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
         raise InvalidCertificate(f"shape of {names[0]} = (n, n), n >= 1", math.nan)

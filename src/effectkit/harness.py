@@ -31,6 +31,7 @@ from .coexistence import (
 )
 from .hermitian import (
     Effect,
+    _is_integer,
     clamped_effect,
     direct_sum,
     loewner_leq,
@@ -461,10 +462,10 @@ class HarnessConfig:
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 or d > 8 for d in dims):
+        dims = tuple(self.dims)
+        if not dims or not all(_is_integer(d) and 2 <= d <= 8 for d in dims):
             raise ValueError("dims must be a nonempty subset of [2, 8]")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if self.trials_per_suite < 1:
             raise ValueError("need at least one trial per suite")
         suites = tuple(self.suites)

@@ -43,7 +43,7 @@ DETECTION_TOL = 1e-9        # fast_path's scalar, projection, commutator and
                             # image-overlap tests; apply_ges_bijective's scalar
                             # test
 CLASSIFY_TOL = 1e-7         # strata predicates (classify, is_scalar,
-                            # is_projection, canonical_form); fast_path's rank
+                            # is_projection); fast_path's rank
 
 # Randomly generated effects keep interior eigenvalues at least this far from
 # 0 and 1, so classifying generated data is never a coin flip.
@@ -80,8 +80,24 @@ class SpectrumOutOfRange(ValueError):
                          f"(tolerance {EFFECT_SPECTRUM_TOL:g})")
 
 
+def _numeric(value, what: str = "matrix", real: bool = False) -> np.ndarray:
+    """np.asarray(value), whose dtype must be integer, unsigned or float
+    (or complex, unless real): numpy would read strings as numbers, and a
+    bool or object array does not hold numbers, so those raise ValueError."""
+    a = np.asarray(value)
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{what} must hold {'real' if real else 'real or complex'} "
+                         f"numbers, not {a.dtype} entries")
+    return a
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_square_array(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = _numeric(matrix).astype(complex, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -220,10 +236,10 @@ class Effect:
 
 
 def as_matrix(value) -> np.ndarray:
-    """Underlying ndarray of an effect, or the input coerced to complex."""
+    """Underlying ndarray of an effect, or the input's numbers as complex."""
     if isinstance(value, Effect):
         return value.matrix
-    return np.asarray(value, dtype=complex)
+    return _numeric(value).astype(complex, copy=False)
 
 
 def as_effect(value) -> Effect:
@@ -405,11 +421,6 @@ def trial_rng(master_seed: int, suite: str, index: int) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _raise_qr_error(err, flag):
-    raise np.linalg.LinAlgError(
-        "Incorrect argument found while performing QR factorization")
-
-
 def _haar_stack(dim: int, count: int, rng: np.random.Generator,
                 interior: int | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """count Haar unitaries, drawn from rng in turn, each after `interior`
@@ -425,7 +436,7 @@ def _haar_stack(dim: int, count: int, rng: np.random.Generator,
         if uniform is not None:
             uniform[i] = rng.random(interior)
         z[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    with np.errstate(call=_raise_qr_error, invalid="call",
+    with np.errstate(call=_raise_lapack_failure, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         tau = _qr_r_raw(z, signature="D->D")
         q = _qr_reduced(z, tau, signature="DD->D")

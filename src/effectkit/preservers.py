@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .hermitian import (
     _conjugate,
     _effect_of_dim,
     _identity,
+    _is_integer,
+    _numeric,
     _rng,
 )
 from .matrixio import (
@@ -43,7 +46,7 @@ GRID_NODES = 1025  # value table of g on {k/1024 : k = 0..1024}
 
 def _frozen_unitary(u) -> np.ndarray:
     """A read-only copy of u, checked unitary once, for a spec to keep."""
-    u = require_unitary(np.array(u, dtype=complex))
+    u = np.array(require_unitary(u))
     u.flags.writeable = False
     return u
 
@@ -51,13 +54,13 @@ def _frozen_unitary(u) -> np.ndarray:
 def _real_vector(values, name: str) -> np.ndarray:
     """A float copy of a flat sequence of real numbers, for a spec to keep.
 
-    np.array would read "0.5" and True as numbers, so the dtype of an array
-    and each element of anything else must be a real number, not a bool.
+    An array's dtype goes through the element gate; anything else has each
+    element checked, since numpy reads [0.5, True] as floats.
     """
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind not in (None, "i", "u", "f") or kind is None and not all(
-            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            for v in values):
+    if isinstance(values, np.ndarray):
+        _numeric(values, name, real=True)
+    elif not all(isinstance(v, (int, float, np.integer, np.floating))
+                 and not isinstance(v, bool) for v in values):
         raise ValueError(f"{name} must hold real numbers, not strings or bools")
     return np.array(values, dtype=float).reshape(-1)
 
@@ -125,7 +128,7 @@ class TraceThresholdSpec:
 
     def __post_init__(self):
         dim, alpha = self.dim, self.alpha
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
+        if not _is_integer(dim) or dim < 2:
             raise ValueError(f"dim must be an integer at least 2, got {dim!r}")
         real = (int, float, np.integer, np.floating)
         if isinstance(alpha, bool) or not isinstance(alpha, real) or not float(alpha) >= 0.0:
@@ -183,7 +186,7 @@ class BlockCounterexampleSpec:
     diagonals: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.contraction, dtype=complex)
+        t = _numeric(self.contraction, "contraction").astype(complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("contraction must be square")
         if operator_norm(t) > 1.0 + 1e-10:
@@ -193,7 +196,7 @@ class BlockCounterexampleSpec:
             raise ValueError("need equally many vectors and diagonals, at least one")
         vecs = []
         for x in self.vectors:
-            v = np.asarray(x, dtype=complex).reshape(-1)
+            v = _numeric(x, "vector").astype(complex).reshape(-1)
             if v.shape[0] != n:
                 raise ValueError("vector length must match dimension")
             if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
@@ -290,8 +293,7 @@ class GesBijectiveSpec:
         if self.selector not in ("hash", "first"):
             raise ValueError(f"unknown selector {self.selector!r}")
         seed = self.selector_seed
-        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                or not 0 <= seed < 2 ** 64):
+        if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
             raise ValueError(f"selector_seed must be an integer in [0, 2**64), got {seed!r}")
         object.__setattr__(self, "selector_seed", int(seed))
 
@@ -343,86 +345,81 @@ def apply_ges_bijective(spec: GesBijectiveSpec, a) -> Effect:
 # Spec documents (for the CLI and for reproducible fixtures)
 
 
-def preserver_spec_document(spec) -> dict:
-    if isinstance(spec, StandardAutomorphismSpec):
-        return {
-            "map": "standard",
-            "transpose": spec.transpose,
-            "perp": spec.perp,
-            "unitary": matrix_document(spec.unitary),
-        }
-    if isinstance(spec, TraceThresholdSpec):
-        return {"map": "trace-threshold", "dim": spec.dim, "alpha": spec.alpha}
-    if isinstance(spec, BlockCounterexampleSpec):
-        return {
-            "map": "block-cx",
-            "contraction": matrix_document(spec.contraction),
-            "vectors": [[[float(z.real), float(z.imag)] for z in v]
-                        for v in spec.vectors],
-            "diagonals": [[float(x) for x in d] for d in spec.diagonals],
-        }
-    if isinstance(spec, GesBijectiveSpec):
-        return {
-            "map": "ges",
-            "selector": spec.selector,
-            "selector_seed": int(spec.selector_seed),
-            "grid": [float(x) for x in spec.grid],
-            "unitary": matrix_document(spec.unitary),
-        }
+class _Kind(NamedTuple):
+    """One map kind: its spec class, its map, and the keys its spec document
+    holds after "map", in the order written, each paired with whether the
+    document must hold it (an absent optional key takes the spec's default)."""
+
+    spec: type
+    apply: Callable
+    keys: tuple[tuple[str, bool], ...]
+
+
+_KINDS = {
+    "standard": _Kind(StandardAutomorphismSpec, apply_standard,
+                      (("transpose", False), ("perp", False), ("unitary", True))),
+    "trace-threshold": _Kind(TraceThresholdSpec, apply_trace_threshold,
+                             (("dim", True), ("alpha", False))),
+    "block-cx": _Kind(BlockCounterexampleSpec, apply_block_counterexample,
+                      (("contraction", True), ("vectors", True), ("diagonals", True))),
+    "ges": _Kind(GesBijectiveSpec, apply_ges_bijective,
+                 (("selector", False), ("selector_seed", False), ("grid", True),
+                  ("unitary", True))),
+}
+MAP_KINDS = tuple(_KINDS)
+_MATRIX_FIELDS = ("unitary", "contraction")
+
+
+def _kind_of(spec) -> tuple[str, _Kind]:
+    for name, kind in _KINDS.items():
+        if type(spec) is kind.spec:
+            return name, kind
     raise TypeError(f"not a preserver spec: {type(spec).__name__}")
 
 
-# The keys of each kind of spec document, (required, optional); "map" names
-# the kind.
-_SPEC_KEYS = {
-    "standard": (("map", "unitary"), ("transpose", "perp")),
-    "trace-threshold": (("map", "dim"), ("alpha",)),
-    "block-cx": (("map", "contraction", "vectors", "diagonals"), ()),
-    "ges": (("map", "unitary", "grid"), ("selector_seed", "selector")),
-}
+def _field_document(key: str, value):
+    """A spec field as its document holds it."""
+    if key in _MATRIX_FIELDS:
+        return matrix_document(value)
+    if key == "vectors":
+        return [[[float(z.real), float(z.imag)] for z in v] for v in value]
+    if key in ("diagonals", "grid"):
+        return np.asarray(value).tolist()
+    return value
+
+
+def _field_value(key: str, value):
+    """A spec field as read from its document, for the spec to check."""
+    if key in _MATRIX_FIELDS:
+        return document_matrix(value)
+    if key == "vectors":
+        return tuple(complex_entries(v) for v in value)
+    return value
+
+
+def preserver_spec_document(spec) -> dict:
+    name, kind = _kind_of(spec)
+    return {"map": name, **{key: _field_document(key, getattr(spec, key))
+                            for key, _ in kind.keys}}
 
 
 def document_preserver_spec(doc: dict):
-    kind = doc.get("map")
-    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
-        raise FileFormatError(f"unknown map kind: {kind!r}")
-    check_keys(doc, f"{kind} spec document", *_SPEC_KEYS[kind])
+    if not isinstance(doc, dict):
+        raise FileFormatError("a spec document must be an object")
+    name = doc.get("map")
+    if not (isinstance(name, str) and name in _KINDS):
+        raise FileFormatError(f"unknown map kind: {name!r}")
+    kind = _KINDS[name]
+    check_keys(doc, f"{name} spec document",
+               ("map", *(key for key, required in kind.keys if required)),
+               [key for key, required in kind.keys if not required])
     try:
-        if kind == "standard":
-            return StandardAutomorphismSpec(
-                document_matrix(doc["unitary"]),
-                doc.get("transpose", False),
-                doc.get("perp", False),
-            )
-        if kind == "trace-threshold":
-            return TraceThresholdSpec(doc["dim"], doc.get("alpha", 1.0))
-        if kind == "block-cx":
-            vectors = tuple(complex_entries(v) for v in doc["vectors"])
-            return BlockCounterexampleSpec(
-                document_matrix(doc["contraction"]), vectors, doc["diagonals"]
-            )
-        if kind == "ges":
-            return GesBijectiveSpec(
-                document_matrix(doc["unitary"]),
-                doc["grid"],
-                doc.get("selector_seed", 0),
-                doc.get("selector", "hash"),
-            )
+        return kind.spec(**{key: _field_value(key, doc[key])
+                            for key, _ in kind.keys if key in doc})
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad preserver spec: {exc}") from exc
 
 
-_APPLY = {
-    StandardAutomorphismSpec: apply_standard,
-    TraceThresholdSpec: apply_trace_threshold,
-    BlockCounterexampleSpec: apply_block_counterexample,
-    GesBijectiveSpec: apply_ges_bijective,
-}
-
-
 def preserver_handle(spec):
     """Evaluation closure Effect -> Effect for any map spec record."""
-    apply = _APPLY.get(type(spec))
-    if apply is None:
-        raise TypeError(f"not a preserver spec: {type(spec).__name__}")
-    return partial(apply, spec)
+    return partial(_kind_of(spec)[1].apply, spec)

@@ -5,16 +5,15 @@ else is interior.  Effects with the same (p, q) form one stratum, and every
 member is unitarily equivalent to a block diagonal Diag(I_p, B, 0_q) with B
 strictly between 0 and I on the interior block.
 
-classify, is_scalar, is_projection and canonical_form are the package's
-spectral predicates.  classify, is_scalar and is_projection read the
-effect's cached eigenvalues, canonical_form its cached eigendecomposition.
+classify, is_scalar and is_projection are the package's spectral
+predicates; each reads the effect's cached eigenvalues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import CLASSIFY_TOL, Effect, as_effect, require_tolerance
+from .hermitian import CLASSIFY_TOL, as_effect, require_tolerance
 
 
 def classify(a, tol: float = CLASSIFY_TOL) -> tuple[int, int]:
@@ -45,23 +44,6 @@ def is_projection(a, tol: float = CLASSIFY_TOL) -> bool:
     require_tolerance(tol)
     w = as_effect(a).eigenvalues
     return bool(((w <= tol) | (w >= 1.0 - tol)).all())
-
-
-def canonical_form(a) -> tuple[np.ndarray, Effect]:
-    """Unitary V and diagonal D = Diag(I_p, B, 0_q) with V D V* = A.
-
-    Eigenvalues are sorted descending, so the eigenvalue-1 block comes first
-    and the kernel block last; endpoint eigenvalues within CLASSIFY_TOL are
-    snapped exactly onto 0 or 1.  Returns (V, D) with D an Effect.
-    """
-    w, u = as_effect(a).eig
-    # eigh sorts ascending; flip to put the eigenvalue-1 block on top.
-    w = w[::-1]
-    v = u[:, ::-1].copy()
-    snapped = np.where(w >= 1.0 - CLASSIFY_TOL, 1.0,
-                       np.where(w <= CLASSIFY_TOL, 0.0, w))
-    d = Effect.trusted(np.diag(snapped).astype(complex))
-    return v, d
 
 
 def freedom_dimension(dim: int, p: int, q: int) -> int:

@@ -787,6 +787,29 @@ def test_verifiers_fail_closed_on_wrongly_shaped_witnesses():
     assert not verify_mn(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
 
 
+def test_decide_and_the_certificate_checks_refuse_what_is_not_numbers():
+    # A part numpy would read as numbers only by parsing strings, or that
+    # holds bools or objects, fails closed: the verifiers answer False and
+    # the converters raise InvalidCertificate with margin NaN.
+    a = random_effect(3, seed=10)
+    b = sample_coexistent(a, 1, seed=11)[0]
+    m, n = decide(a, b, fast_paths=False).witness
+    c, d = _criterion6_pair(3, 70)
+    dual = decide(c, d).dual
+    with pytest.raises(ValueError, match="must hold real or complex numbers"):
+        decide(a.matrix.astype(str), b)
+    for bad in (a.matrix.astype(str), a.matrix.astype(object), np.eye(3, dtype=bool)):
+        assert not verify_mn(bad, b, m, n)
+        assert not verify_mn(a, b, bad, n)
+        assert not verify_efg(a, b, bad, n, m)
+        assert not verify_dual(c, d, dual[0], bad, dual[2])
+        for convert, args in ((mn_to_efg, (bad, n, a, b)), (efg_to_mn, (bad, n, m, a, b))):
+            with pytest.raises(InvalidCertificate) as err:
+                convert(*args)
+            assert err.value.constraint == "numeric entries" and np.isnan(err.value.margin)
+    assert verify_mn(a, b, m, n) and verify_dual(c, d, *dual)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_verifiers_fail_closed_when_the_eigensolver_fails(monkeypatch):
     # The certificate checks call the gufunc outside _lapack_checked; fed
@@ -1039,3 +1062,33 @@ def test_witnesses_are_not_validated_again(monkeypatch):
 
 def test_cert_tol_constant_wired():
     assert CERT_TOL == 1e-6
+
+
+def _unbiased_qubit_effect(r) -> Effect:
+    """(I + r . sigma) / 2 for a Bloch vector r with |r| <= 1."""
+    x, y, z = r
+    return Effect(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
+
+
+_BLOCH = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                   st.floats(0.0, 1.0))
+
+
+@seed(113)
+@settings(deadline=None, max_examples=200)
+@given(p=_BLOCH, q=_BLOCH)
+def test_unbiased_qubit_pairs_follow_busch(p, q):
+    # Busch, Phys. Rev. D 33, 2253 (1986): (I + a.sigma)/2 and (I + b.sigma)/2
+    # coexist iff |a + b| + |a - b| <= 2.  An oracle independent of decide.
+    vectors = []
+    for *direction, radius in (p, q):
+        norm = np.linalg.norm(direction)
+        assume(norm >= 1e-3)
+        vectors.append(radius * np.asarray(direction) / norm)
+    a_vec, b_vec = vectors
+    s = np.linalg.norm(a_vec + b_vec) + np.linalg.norm(a_vec - b_vec)
+    assume(abs(s - 2.0) >= 1e-4)
+    a, b = _unbiased_qubit_effect(a_vec), _unbiased_qubit_effect(b_vec)
+    for fast in (True, False):
+        res = decide(a, b, fast_paths=fast)
+        assert res.definite and res.coexistent == (s <= 2.0), (fast, s, res.reason)

@@ -152,6 +152,15 @@ def test_config_validation():
     assert f"valid suites: {', '.join(SUITE_NAMES)}" in str(err.value)
 
 
+def test_config_refuses_dims_that_are_not_integers():
+    # int() once ran 2.7 as dim 2 and "3" as dim 3.
+    for dims in ((2.7,), ("3",), (True, 2), (2, 3.0)):
+        with pytest.raises(ValueError, match="dims must be"):
+            HarnessConfig(dims=dims)
+    cfg = HarnessConfig(dims=(np.int64(3), 2))
+    assert cfg.dims == (3, 2) and all(type(d) is int for d in cfg.dims)
+
+
 def test_suite_names_cover_contract():
     assert SUITE_NAMES == (
         "lemma_properties",

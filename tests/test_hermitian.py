@@ -170,6 +170,31 @@ def test_order_and_unitary_checks_reject_non_finite_input():
                 check(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    [["0.5", "0"], ["0", "0.5"]],
+    np.array([["0.5", "0"], ["0", "0.5"]]),
+    np.eye(2, dtype=bool),
+    np.array([[0.5, 0.0], [0.0, 0.5]], dtype=object),
+], ids=["string-list", "string-array", "bool-array", "object-array"])
+def test_array_entry_points_refuse_what_is_not_numbers(bad):
+    # Asked for complex, numpy reads "0.5" as a number, True as 1 and an
+    # object array entry by entry.  One gate refuses all three, at every
+    # entry point that takes a raw array.
+    for entry in (Effect, require_hermitian, require_unitary, operator_norm, as_matrix,
+                  trace, psd_part, lambda m: direct_sum([m]),
+                  lambda m: loewner_leq(np.zeros((2, 2)), m),
+                  lambda m: conjugate(0.5 * np.eye(2), m)):
+        with pytest.raises(ValueError, match="must hold real or complex numbers"):
+            entry(bad)
+
+
+def test_array_entry_points_take_every_numeric_dtype():
+    for dtype in (np.int64, np.uint8, np.float32, np.float64, np.complex64, np.complex128):
+        e = Effect(np.eye(2, dtype=dtype))
+        assert e.matrix.dtype == complex and np.array_equal(e.matrix, np.eye(2))
+    assert np.array_equal(Effect([[1, 0], [0, 0.5]]).matrix, np.diag([1.0, 0.5]))
+
+
 def test_require_hermitian_symmetrises():
     m = np.array([[1.0, 0.5 + 1e-14j], [0.5, 0.0]], dtype=complex)
     out = require_hermitian(m)

@@ -13,8 +13,9 @@ from effectkit.hermitian import (
     random_unitary,
     trace,
 )
-from effectkit.matrixio import FileFormatError
+from effectkit.matrixio import FileFormatError, dumps_document
 from effectkit.preservers import (
+    MAP_KINDS,
     BlockCounterexampleSpec,
     GesBijectiveSpec,
     StandardAutomorphismSpec,
@@ -259,6 +260,33 @@ def test_block_spec_validation():
     assert spec.diagonals[0].dtype == float and spec.diagonals[0].tolist() == [0.5, 1.0]
 
 
+def test_specs_refuse_arrays_that_are_not_numbers():
+    x, g = np.array([1.0, 0.0], dtype=complex), np.ones(2)
+    strings, bools = np.eye(2).astype(str), np.eye(2, dtype=bool)
+    for unitary in ([["1", "0"], ["0", "1"]], strings, bools):
+        for make in (StandardAutomorphismSpec, GesBijectiveSpec):
+            with pytest.raises(ValueError, match="matrix must hold real or complex numbers"):
+                make(unitary)
+    for contraction in (strings, bools, np.eye(2, dtype=object)):
+        with pytest.raises(ValueError, match="contraction must hold real or complex"):
+            BlockCounterexampleSpec(contraction, (x,), (g,))
+    for vector in (["1", "0"], np.array(["1", "0"]), np.array([True, False])):
+        with pytest.raises(ValueError, match="vector must hold real or complex"):
+            BlockCounterexampleSpec(np.eye(2), (vector,), (g,))
+
+
+def test_block_spec_owns_read_only_copies_of_its_arrays():
+    t, x, g = 0.5 * np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex), np.ones(2)
+    spec = BlockCounterexampleSpec(t, (x,), (g,))
+    a = random_effect(2, seed=53)
+    before = as_matrix(apply_block_counterexample(spec, a)).copy()
+    assert t.flags.writeable and x.flags.writeable and g.flags.writeable
+    assert not (spec.contraction.flags.writeable or spec.vectors[0].flags.writeable
+                or spec.diagonals[0].flags.writeable)
+    t[:], x[:], g[:] = 0.0, [0.0, 1.0], 0.0
+    assert np.array_equal(as_matrix(apply_block_counterexample(spec, a)), before)
+
+
 def test_ges_first_selector_with_identity_grid_is_conjugation():
     u = random_unitary(3, np.random.default_rng(11))
     spec = GesBijectiveSpec(u, selector="first")
@@ -375,6 +403,7 @@ def _spoiled(maker, spoil):
     _spoiled(lambda: random_ges_spec(2, seed=22),
              lambda d: d.__setitem__("selecter", d.pop("selector"))),
     _spoiled(lambda: random_ges_spec(2, seed=22), lambda d: d.pop("grid")),
+    [1],
 ], ids=["block-short-pair", "block-long-pair", "block-nan-diagonal", "ges-negative-seed",
         "ges-huge-seed", "standard-string-transpose", "standard-integer-perp",
         "block-string-diagonal", "ges-string-grid",
@@ -382,7 +411,7 @@ def _spoiled(maker, spoil):
         "trace-huge-alpha", "unknown-map-kind", "list-map-kind", "standard-misspelt-flags",
         "standard-unitary-extra-key", "trace-extra-key", "trace-missing-dim",
         "block-extra-key", "block-missing-diagonals", "ges-misspelt-selector",
-        "ges-missing-grid"])
+        "ges-missing-grid", "list-document"])
 def test_spec_documents_fail_closed(doc):
     with pytest.raises(FileFormatError):
         document_preserver_spec(doc)
@@ -395,8 +424,8 @@ def test_spec_document_errors_name_each_key():
     with pytest.raises(FileFormatError, match="standard spec document: unknown key "
                                               "'transpos', unknown key 'prep'"):
         document_preserver_spec(doc)
-    with pytest.raises(FileFormatError, match="ges spec document: missing key 'unitary', "
-                                              "missing key 'grid', unknown key 'seed'"):
+    with pytest.raises(FileFormatError, match="ges spec document: missing key 'grid', "
+                                              "missing key 'unitary', unknown key 'seed'"):
         document_preserver_spec({"map": "ges", "seed": 1})
 
 
@@ -409,6 +438,14 @@ def test_trace_threshold_document_takes_json_numbers():
     assert spec == TraceThresholdSpec(dim=3, alpha=1.0)
 
 
+_DOCUMENT_KEYS = {
+    "standard": ["map", "transpose", "perp", "unitary"],
+    "trace-threshold": ["map", "dim", "alpha"],
+    "block-cx": ["map", "contraction", "vectors", "diagonals"],
+    "ges": ["map", "selector", "selector_seed", "grid", "unitary"],
+}
+
+
 @pytest.mark.parametrize("maker", [
     lambda: random_standard_spec(3, seed=20, transpose=True, perp=True),
     lambda: TraceThresholdSpec(dim=3, alpha=2.0),
@@ -418,7 +455,11 @@ def test_trace_threshold_document_takes_json_numbers():
 def test_spec_document_round_trip(maker):
     spec = maker()
     doc = preserver_spec_document(spec)
+    # Each kind writes its keys in this order; the bytes depend on it.
+    assert tuple(_DOCUMENT_KEYS) == MAP_KINDS
+    assert list(doc) == _DOCUMENT_KEYS[doc["map"]]
     back = document_preserver_spec(doc)
+    assert dumps_document(preserver_spec_document(back)) == dumps_document(doc)
     handle_a = preserver_handle(spec)
     handle_b = preserver_handle(back)
     a = random_effect(3, seed=23)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from effectkit.hermitian import as_matrix, orthocomplement, random_effect, random_projection
-from effectkit.strata import (
-    canonical_form,
-    classify,
-    freedom_dimension,
-    is_projection,
-    is_scalar,
-)
+from effectkit.hermitian import orthocomplement, random_effect, random_projection
+from effectkit.strata import classify, freedom_dimension, is_projection, is_scalar
 
 
 def corner_pattern_parameter_count(n, p, q):
@@ -62,30 +56,6 @@ def test_classify_round_trips_generated_strata():
         q = int(rng.integers(0, dim - p + 1))
         e = random_effect(dim, stratum=(p, q), seed=rng)
         assert classify(e) == (p, q)
-
-
-def test_canonical_form_projection():
-    p = random_projection(4, 2, seed=3)
-    v, d = canonical_form(p)
-    assert np.allclose(np.diag(as_matrix(d)).real, [1.0, 1.0, 0.0, 0.0])
-    assert np.allclose(v @ as_matrix(d) @ v.conj().T, as_matrix(p), atol=1e-9)
-
-
-def test_canonical_form_reorders_diagonal():
-    v, d = canonical_form(np.diag([0.3, 1.0, 0.0]).astype(complex))
-    assert np.allclose(np.diag(as_matrix(d)).real, [1.0, 0.3, 0.0])
-    # a permutation has a single unit entry per row
-    assert np.allclose(np.sort(np.abs(v), axis=1)[:, :-1], 0.0, atol=1e-12)
-
-
-def test_canonical_form_reconstructs():
-    for s in range(50):
-        e = random_effect(4, stratum=(1, 1), seed=s)
-        v, d = canonical_form(e)
-        assert np.linalg.norm(v @ as_matrix(d) @ v.conj().T - as_matrix(e)) <= 1e-9
-        dd = np.diag(as_matrix(d)).real
-        interior = dd[(dd < 1.0 - 1e-7) & (dd > 1e-7)]
-        assert np.all(np.diff(interior) <= 1e-12)
 
 
 def test_freedom_dimension_open_stratum():

@@ -62,7 +62,7 @@ from effectkit.preservers import (
     random_standard_spec,
 )
 from effectkit.reconstruction import reconstruct
-from effectkit.strata import canonical_form, classify, is_projection, is_scalar
+from effectkit.strata import classify, is_projection, is_scalar
 
 OFFSETS = (0.0, 0.5 * DETECTION_TOL, 2.0 * DETECTION_TOL,
            0.5 * CLASSIFY_TOL, 2.0 * CLASSIFY_TOL)
@@ -234,7 +234,7 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
         is_projection(e)
     assert decomposed == []
 
-    # The rank-one rule and canonical_form need eigenvectors: at most one
+    # The rank-one rule and Effect.eig need eigenvectors: at most one
     # decomposition per effect, and none on a repeat call.
     def once_each(call):
         decomposed.clear()
@@ -250,7 +250,7 @@ def test_fast_path_and_strata_reuse_the_cached_decomposition(monkeypatch):
         assert res.reason == Reason.RANK_ONE_RULE and not res.coexistent
 
     once_each(rank_one_rule)
-    once_each(lambda: [canonical_form(e) for e in effects])
+    once_each(lambda: [e.eig for e in effects])
 
 
 # Diagonal spectra exactly on a rung of fast_path's rule tests, or 1 ulp
@@ -320,7 +320,6 @@ _SEVENS = np.full((2, 2), 7.0)
 _FIXED_RUNG = {
     "Effect": lambda a, b, tol: Effect(np.diag([5.0, -3.0]), tol=tol),
     "as_effect": lambda a, b, tol: as_effect(np.diag([5.0, -3.0]), tol=tol),
-    "canonical_form": lambda a, b, tol: canonical_form(a, tol=tol),
     "loewner_leq": lambda a, b, tol: loewner_leq(a, b, tol=tol),
     "verify_mn": lambda a, b, tol: verify_mn(a, b, _SEVENS, _SEVENS, tol=tol),
     "verify_efg": lambda a, b, tol: verify_efg(a, b, _SEVENS, _SEVENS, _SEVENS, tol=tol),
@@ -402,7 +401,7 @@ def test_fixed_settings_have_no_parameter_or_flag():
     # run_suite and run_all take a HarnessConfig named cfg, so the cfg check
     # names its functions.
     for fn in (Effect, as_effect, require_hermitian, require_unitary,
-               loewner_leq, canonical_form, decide, decide_blockwise):
+               loewner_leq, decide, decide_blockwise):
         assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
     # Parameters that no caller set are gone too.
     assert list(inspect.signature(require_tolerance).parameters) == ["value"]

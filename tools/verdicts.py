@@ -66,6 +66,14 @@ call's answer, with the violated constraint and its margin (``float.hex``)
 where one is raised, and the converters' output bytes; and, from CHANGE,
 how often each constraint was reported.
 
+The ``specs`` section writes spec documents in each checkout: for each of
+the four map kinds, 12 seeded specs at each of dims 2-6 (trace-threshold
+with alpha = i/4 for the i-th).  Per kind it hashes the documents as
+written, the documents written again after reading them back from their
+text, and the image of a seeded effect (``random_effect(dim, seed=i)``)
+under each read-back spec's handle, and prints ``bytes: same`` or
+``bytes: differ`` for each kind.
+
 The ``harness`` section runs the property-test campaign in each checkout,
 ``run_all(HarnessConfig(dims=(2, 3, 4), trials_per_suite=60, seed=4))``,
 and prints the sha256 of each report's ``report_signature`` (the report
@@ -76,8 +84,8 @@ It also prints each checkout's ``src/`` line count: the newlines in
 information only.
 
 The exit status is 1 if a definite verdict flipped or became
-Indeterminate, a certificate failed, or the ``checks`` or ``harness``
-bytes differ, and 0 otherwise.
+Indeterminate, a certificate failed, or the ``checks``, ``specs`` or
+``harness`` bytes differ, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -340,6 +348,38 @@ def _dual_strength(co, a, b, dual) -> tuple[float, bool]:
     return bound, bool(lowest < -co.CERT_TOL)
 
 
+def _spec_documents() -> dict:
+    """Per map kind, sha256 of its documents, re-written documents and images."""
+    from effectkit.hermitian import random_effect
+    from effectkit.matrixio import dumps_document, loads_document
+    from effectkit.preservers import (
+        TraceThresholdSpec,
+        document_preserver_spec,
+        preserver_handle,
+        preserver_spec_document,
+        random_block_spec,
+        random_ges_spec,
+        random_standard_spec,
+    )
+
+    makers = {"standard": random_standard_spec,
+              "trace-threshold": lambda dim, i: TraceThresholdSpec(dim, i / 4.0),
+              "block-cx": random_block_spec, "ges": random_ges_spec}
+    out = {}
+    for kind, make in makers.items():
+        written, rewritten, images = (hashlib.sha256() for _ in range(3))
+        for dim in range(2, 7):
+            for index in range(12):
+                text = dumps_document(preserver_spec_document(make(dim, index)))
+                back = document_preserver_spec(loads_document(text))
+                written.update(text.encode())
+                rewritten.update(dumps_document(preserver_spec_document(back)).encode())
+                image = preserver_handle(back)(random_effect(dim, seed=index))
+                images.update(image.matrix.tobytes())
+        out[kind] = [written.hexdigest(), rewritten.hexdigest(), images.hexdigest()]
+    return out
+
+
 def _harness_signature() -> str:
     """sha256 of the report signature of one seeded harness campaign."""
     from effectkit.harness import HarnessConfig, report_signature, run_all
@@ -386,6 +426,7 @@ def emit() -> dict:
                        "dual_bounds": bounds, "indefinite_duals": indefinite}
     out["maps"] = _map_fits()
     out["checks"] = {"fingerprints": checks, "constraints": dict(constraints)}
+    out["specs"] = _spec_documents()
     out["harness"] = _harness_signature()
     return out
 
@@ -486,6 +527,14 @@ def main(argv=None) -> int:
     same = checks[0]["fingerprints"] == checks[1]["fingerprints"]
     print(f"checks: {len(checks[1]['fingerprints'])} certificates, each with its variants; "
           f"constraints reported (change): {dict(sorted(checks[1]['constraints'].items()))}")
+    print(f"  bytes: {'same' if same else 'differ'}")
+    failed |= not same
+    specs = base["specs"], change["specs"]
+    same = specs[0] == specs[1]
+    print(f"specs: {len(specs[1])} map kinds, 60 spec documents each, written, "
+          "read back and written again, and one image each")
+    for kind in specs[1]:
+        print(f"  {kind}: bytes: {'same' if specs[0].get(kind) == specs[1][kind] else 'differ'}")
     print(f"  bytes: {'same' if same else 'differ'}")
     failed |= not same
     same = base["harness"] == change["harness"]
